@@ -2,15 +2,19 @@
 
 Two propagation backends cover the package's working range:
 
-* ``DenseEigen`` diagonalizes each piecewise-constant generator once and
-  then evaluates any sample time exactly: with H = V diag(E) V^dag,
-  ``psi(t) = V exp(-i E t) V^dag psi(0)``.  Capacity-gated at 2^13.
+* ``DenseEigen`` diagonalizes each piecewise-constant generator once.  One
+  spectral sampler then serves ``propagate``, ``ProtocolEvolution`` and the
+  two-phase ``t_on`` protocol: with H = V diag(E) V^dag and c = V^dag psi(0),
+  it yields state columns ``psi(t) = V (c * exp(-i E t))`` in bounded
+  chunks, and ``battery_energy`` reduces <H_B> chunk by chunk.
+  Capacity-gated at 2^13.
 * ``KrylovLanczos`` approximates ``exp(-i H t) psi`` in a small Krylov
   subspace with adaptive step halving; it never needs the full spectrum.
 
 All five Hamiltonian families assemble to real symmetric matrices
-(sigma^y only ever enters in pairs), so the dense path runs the real
-eigensolver and promotes to complex only while sampling.
+(sigma^y only ever enters in pairs) and are stored as float64, so the
+eigensolvers run in real arithmetic and every product of a real matrix
+with a complex vector acts on the real and imaginary parts separately.
 """
 
 from __future__ import annotations
@@ -167,22 +171,13 @@ class SpectralData:
         return clusters
 
 
-def _dense_array(op: SparseOperator) -> np.ndarray:
-    """Dense form, dropped to float64 when the stored entries are all real."""
-    if op.is_real():
-        real = op.matrix.copy()
-        real.data = real.data.real
-        return real.toarray()
-    return op.matrix.toarray()
-
-
 def spectrum(op: SparseOperator, want_vectors: bool = False) -> SpectralData:
     """Full ascending spectrum by dense diagonalization (gated at 2^13)."""
     if op.dimension > DENSE_DIM_LIMIT:
         raise CapacityError(
             f"dense spectrum limited to dimension {DENSE_DIM_LIMIT}, got "
             f"{op.dimension}; the KrylovLanczos propagator needs no full spectrum")
-    dense = _dense_array(op)
+    dense = op.to_dense()
     if want_vectors:
         vals, vecs = sla.eigh(dense, driver="evd", check_finite=False)
         return SpectralData(vals, vecs)
@@ -229,14 +224,10 @@ def _ground_cluster_arpack(op: SparseOperator, num: int = 8):
     degenerate cluster (the caller then falls back to a dense solve).
     """
     dim = op.dimension
-    matrix = op.matrix
-    if op.is_real():
-        matrix = matrix.copy()
-        matrix.data = matrix.data.real
-    v0 = np.full(dim, 1.0 / np.sqrt(dim),
-                 dtype=matrix.dtype)
+    v0 = np.full(dim, 1.0 / np.sqrt(dim), dtype=op.matrix.dtype)
     try:
-        vals, vecs = spla.eigsh(matrix, k=min(num, dim - 1), which="SA", v0=v0)
+        vals, vecs = spla.eigsh(op.matrix, k=min(num, dim - 1), which="SA",
+                                v0=v0)
     except spla.ArpackError:
         return None
     order = np.argsort(vals, kind="stable")
@@ -253,7 +244,8 @@ def expectation(op: SparseOperator, state: StateVector) -> float:
     if op.dimension != state.dimension:
         raise ParameterError(
             f"dimension mismatch: operator {op.dimension}, state {state.dimension}")
-    value = complex(np.vdot(state.amplitudes, op.matrix @ state.amplitudes))
+    value = complex(np.vdot(state.amplitudes,
+                            _apply(op.matrix, state.amplitudes)))
     if abs(value.imag) > 1e-10 * max(1.0, abs(value.real)):
         raise NumericalError(
             f"expectation of a Hermitian operator came out complex: {value!r}")
@@ -264,10 +256,50 @@ def expectation(op: SparseOperator, state: StateVector) -> float:
 # propagation
 
 
-def _eigenbasis_apply(evals, evecs, amplitudes, t):
-    coeffs = evecs.conj().T @ amplitudes
-    coeffs *= np.exp(-1j * evals * t)
-    return evecs @ coeffs
+def _apply(matrix, vectors):
+    """``matrix @ vectors`` for a dense or sparse matrix.
+
+    A real matrix acts on the real and imaginary parts separately: a mixed
+    product would make numpy or scipy build a complex copy of the matrix.
+    A block of columns viewed as float64 already interleaves the two parts
+    column by column, so one real product covers both without copying them
+    apart; a single vector is faster as two contiguous real vectors.
+    """
+    if np.iscomplexobj(matrix) or not np.iscomplexobj(vectors):
+        return matrix @ vectors
+    if vectors.ndim == 1:
+        out = np.empty(matrix.shape[0], dtype=np.complex128)
+        out.real = matrix @ np.ascontiguousarray(vectors.real)
+        out.imag = matrix @ np.ascontiguousarray(vectors.imag)
+        return out
+    parts = np.ascontiguousarray(vectors).view(np.float64)
+    return (matrix @ parts).view(np.complex128)
+
+
+def _spectral_columns(data: SpectralData, start, offsets, chunk: int):
+    """Column blocks ``V (c * exp(-i E t))`` for successive ``chunk`` offsets.
+
+    With H = V diag(E) V^dag and c = V^dag start, each column is
+    exp(-i H t) start.  Only one block is alive at a time.
+    """
+    vecs = data.eigenvectors
+    coeffs = _apply(vecs.T, start.conj()).conj()  # V^dag start
+    for lo in range(0, offsets.size, chunk):
+        # one expression, so no temporary outlives the yield
+        yield _apply(vecs, coeffs[:, None] * np.exp(
+            np.outer(data.eigenvalues, -1j * offsets[lo:lo + chunk])))
+
+
+def _energy_parts(matrix, columns):
+    """Real part and imaginary residue of <psi|H|psi> for each column.
+
+    With psi = a + ib and H psi = p + iq, <psi|H|psi> = a.p + b.q plus
+    i (a.q - b.p); for a real symmetric H the residue is a.Hb - b.Ha.
+    """
+    image = _apply(matrix, columns)
+    a, b, p, q = columns.real, columns.imag, image.real, image.imag
+    return (np.einsum("ij,ij->j", a, p) + np.einsum("ij,ij->j", b, q),
+            np.einsum("ij,ij->j", a, q) - np.einsum("ij,ij->j", b, p))
 
 
 def _lanczos_step(matrix, vec, dt, krylov_dim):
@@ -284,7 +316,7 @@ def _lanczos_step(matrix, vec, dt, krylov_dim):
     betas = np.empty(max_dim)
     basis[0] = vec
     for j in range(max_dim):
-        w = matrix @ basis[j]
+        w = _apply(matrix, basis[j])
         alphas[j] = np.vdot(basis[j], w).real
         w -= alphas[j] * basis[j]
         if j:
@@ -343,8 +375,8 @@ def propagate(op: SparseOperator, state: StateVector, t: float,
         raise ParameterError(f"time must be finite, got {t}")
     if backend.kind is BackendKind.DENSE_EIGEN:
         data = spectrum(op, want_vectors=True)
-        amps = _eigenbasis_apply(data.eigenvalues, data.eigenvectors,
-                                 state.amplitudes, t)
+        amps = next(_spectral_columns(data, state.amplitudes,
+                                      np.array([t]), 1))[:, 0]
     else:
         amps = _krylov_expm_apply(op.matrix, state.amplitudes, t,
                                   backend.krylov_dim, backend.tolerance)
@@ -367,7 +399,7 @@ class ProtocolEvolution:
     requested; the Krylov backend walks the sorted times sequentially.
     """
 
-    _CHUNK_ELEMENTS = 1 << 21
+    _CHUNK_ELEMENTS = 1 << 20  # complex amplitudes per column block
 
     def __init__(self, protocol: ProtocolSpec, backend: PropagatorBackend):
         self.protocol = protocol
@@ -377,95 +409,65 @@ class ProtocolEvolution:
         self.ground_energy, self.initial_state = ground_state(self.h_battery)
         self._spectra: dict[str, SpectralData] = {}
 
-    # -- dense-path helpers
-
     def _eigensystem(self, which: str) -> SpectralData:
         if which not in self._spectra:
             op = self.h_charging if which == "charging" else self.h_battery
             self._spectra[which] = spectrum(op, want_vectors=True)
         return self._spectra[which]
 
-    @staticmethod
-    def _left_apply(vectors, block):
-        """vectors @ block without the slow strided-view matmul path."""
-        if vectors.dtype == np.float64:
-            out = np.empty((vectors.shape[0], block.shape[1]), dtype=np.complex128)
-            out.real = vectors @ np.ascontiguousarray(block.real)
-            out.imag = vectors @ np.ascontiguousarray(block.imag)
-            return out
-        return vectors @ block
-
-    def _dense_states_at(self, data: SpectralData, start, offsets):
-        """Amplitude columns exp(-i H t) start for each offset, chunked."""
-        coeffs = data.eigenvectors.conj().T @ start
-        dim = start.size
-        chunk = max(1, self._CHUNK_ELEMENTS // dim)
-        columns = np.empty((dim, offsets.size), dtype=np.complex128)
-        for lo in range(0, offsets.size, chunk):
-            sel = slice(lo, min(lo + chunk, offsets.size))
-            phases = np.exp(np.outer(data.eigenvalues, -1j * offsets[sel]))
-            phases *= coeffs[:, None]
-            columns[:, sel] = self._left_apply(data.eigenvectors, phases)
-        return columns
-
-    def _split_times(self, times):
+    def _checked_times(self, times) -> np.ndarray:
         times = np.asarray(times, dtype=np.float64)
         if times.ndim != 1:
             raise ParameterError("sample times must be a 1-D sequence")
         if times.size and times.min() < 0.0:
             raise ParameterError("sample times must be >= 0")
-        t_on = self.protocol.t_on
-        if t_on is None:
-            return times, times.size
-        return times, int(np.searchsorted(times, t_on, side="right"))
+        return times
 
-    def _dense_columns(self, times):
+    def _column_blocks(self, times):
+        """(request positions, state columns) blocks in ascending time order."""
         order = np.argsort(times, kind="stable")
-        sorted_times = times[order]
-        _, n_charging = self._split_times(sorted_times)
+        if self.backend.kind is BackendKind.DENSE_EIGEN:
+            blocks = self._dense_blocks(times[order])
+        else:
+            blocks = self._krylov_blocks(times[order])
+        done = 0
+        for columns in blocks:
+            yield order[done:done + columns.shape[1]], columns
+            done += columns.shape[1]
+
+    def _dense_blocks(self, times):
+        chunk = max(1, self._CHUNK_ELEMENTS // self.initial_state.dimension)
+        t_on = self.protocol.t_on
+        n_charging = times.size if t_on is None else int(
+            np.searchsorted(times, t_on, side="right"))
         psi0 = self.initial_state.amplitudes
-        columns = np.empty((psi0.size, times.size), dtype=np.complex128)
         charging = self._eigensystem("charging")
-        columns[:, :n_charging] = self._dense_states_at(
-            charging, psi0, sorted_times[:n_charging])
+        yield from _spectral_columns(charging, psi0, times[:n_charging], chunk)
         if n_charging < times.size:
-            t_on = self.protocol.t_on
-            psi_on = self._dense_states_at(
-                charging, psi0, np.array([t_on]))[:, 0]
-            battery = self._eigensystem("battery")
-            columns[:, n_charging:] = self._dense_states_at(
-                battery, psi_on, sorted_times[n_charging:] - t_on)
-        inverse = np.empty_like(order)
-        inverse[order] = np.arange(order.size)
-        return columns[:, inverse]
+            psi_on = next(_spectral_columns(charging, psi0,
+                                            np.array([t_on]), 1))[:, 0]
+            yield from _spectral_columns(self._eigensystem("battery"), psi_on,
+                                         times[n_charging:] - t_on, chunk)
 
-    def _krylov_columns(self, times):
-        order = np.argsort(times, kind="stable")
-        sorted_times = times[order]
-        self._split_times(sorted_times)
+    def _krylov_blocks(self, times):
+        """One column per time; the state walks the sorted times."""
         t_on = self.protocol.t_on
-        dim = self.initial_state.dimension
-        columns = np.empty((dim, times.size), dtype=np.complex128)
         state = self.initial_state.amplitudes.copy()
         now = 0.0
-        on_charger = True
-        h_charging = self.h_charging.matrix
-        h_battery = self.h_battery.matrix
-        for out_idx, t in zip(order, sorted_times):
-            if on_charger and t_on is not None and t > t_on:
-                if now < t_on:
-                    state = self._krylov_to(h_charging, state, t_on - now)
-                    now = t_on
-                on_charger = False
-            generator = h_charging if on_charger else h_battery
+        for t in times:
+            if t_on is not None and now < t_on < t:
+                state = self._krylov_to(self.h_charging, state, t_on - now)
+                now = t_on
             if t != now:
-                state = self._krylov_to(generator, state, t - now)
+                on_charger = t_on is None or t <= t_on
+                state = self._krylov_to(
+                    self.h_charging if on_charger else self.h_battery,
+                    state, t - now)
                 now = t
-            columns[:, out_idx] = state
-        return columns
+            yield state[:, None]
 
-    def _krylov_to(self, matrix, state, dt):
-        return _krylov_expm_apply(matrix, state, dt,
+    def _krylov_to(self, op, state, dt):
+        return _krylov_expm_apply(op.matrix, state, dt,
                                   self.backend.krylov_dim,
                                   self.backend.tolerance)
 
@@ -473,26 +475,27 @@ class ProtocolEvolution:
 
     def state_columns(self, times) -> np.ndarray:
         """Raw amplitude columns at each requested time (any order, >= 0)."""
-        times = np.asarray(times, dtype=np.float64)
-        self._split_times(times)
-        if times.size == 0:
-            return np.empty((self.initial_state.dimension, 0), dtype=np.complex128)
-        if self.backend.kind is BackendKind.DENSE_EIGEN:
-            return self._dense_columns(times)
-        return self._krylov_columns(times)
+        times = self._checked_times(times)
+        columns = np.empty((self.initial_state.dimension, times.size),
+                           dtype=np.complex128)
+        for positions, block in self._column_blocks(times):
+            columns[:, positions] = block
+        return columns
 
     def battery_energy(self, times) -> np.ndarray:
-        """<H_B> at each requested time."""
-        columns = self.state_columns(times)
-        if columns.shape[1] == 0:
-            return np.empty(0)
-        h_columns = self.h_battery.matrix @ columns
-        values = np.einsum("ij,ij->j", columns.conj(), h_columns)
-        residue = np.abs(values.imag).max()
-        if residue > 1e-10 * max(1.0, np.abs(values.real).max()):
-            raise NumericalError(
-                f"battery energy came out complex (residue {residue:.3e})")
-        return values.real
+        """<H_B> at each requested time, reduced one column block at a time."""
+        times = self._checked_times(times)
+        energies = np.empty(times.size)
+        residues = np.empty(times.size)
+        for positions, block in self._column_blocks(times):
+            energies[positions], residues[positions] = _energy_parts(
+                self.h_battery.matrix, block)
+        if times.size:
+            residue = np.abs(residues).max()
+            if residue > 1e-10 * max(1.0, np.abs(energies).max()):
+                raise NumericalError(
+                    f"battery energy came out complex (residue {residue:.3e})")
+        return energies
 
     def states(self, times) -> list[StateVector]:
         columns = self.state_columns(times)

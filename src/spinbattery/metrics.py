@@ -212,7 +212,8 @@ def _resolve_workers(workers):
     return os.cpu_count() or 1
 
 
-def _sweep_map(evaluate, values, workers):
+def sweep_map(evaluate, values, workers=None) -> list:
+    """``evaluate`` on every value, threaded, results in input order."""
     values = list(values)
     workers = min(_resolve_workers(workers), max(len(values), 1))
     if workers <= 1 or len(values) <= 1:
@@ -265,7 +266,7 @@ def sweep_point(base: ProtocolSpec, parameter_name: str, value,
 def sweep_lambda(base: ProtocolSpec, lambdas, grid: TimeGrid,
                  backend: PropagatorBackend, workers=None) -> list[SweepRecord]:
     """Independent protocol runs across countereffect strengths."""
-    return _sweep_map(
+    return sweep_map(
         lambda lam: sweep_point(base, "lambda", float(lam), grid, backend),
         lambdas, workers)
 
@@ -273,7 +274,7 @@ def sweep_lambda(base: ProtocolSpec, lambdas, grid: TimeGrid,
 def sweep_size(base: ProtocolSpec, sizes, grid: TimeGrid,
                backend: PropagatorBackend, workers=None) -> list[SweepRecord]:
     """Ring-size sweep; long-range cutoffs re-derive from each N."""
-    return _sweep_map(
+    return sweep_map(
         lambda n: sweep_point(base, "N", int(n), grid, backend),
         sizes, workers)
 
@@ -286,7 +287,7 @@ def sweep_coupling(base: ProtocolSpec, coupling_values, grid: TimeGrid,
     The canonical setup pairs an Ising-ring battery with a transverse-field
     charger at lambda = 0; any interacting battery is accepted.
     """
-    records = _sweep_map(
+    records = sweep_map(
         lambda j: sweep_point(base, "J", float(j), grid, backend),
         coupling_values, workers)
     fit = fit_log10([r.parameter_value for r in records],

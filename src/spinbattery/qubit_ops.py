@@ -74,15 +74,24 @@ class PauliTerm:
 
 
 class SparseOperator:
-    """Hermitian operator on ``2**num_qubits`` dimensions, stored as CSR."""
+    """Hermitian operator on ``2**num_qubits`` dimensions, stored as CSR.
+
+    The matrix is float64 whenever every entry is real (all Hamiltonian
+    families: sigma^y only enters in pairs) and complex128 otherwise.
+    """
 
     def __init__(self, matrix, num_qubits: int, check_hermitian: bool = True):
         num_qubits = int(num_qubits)
         if num_qubits < 1:
             raise ParameterError(f"num_qubits must be >= 1, got {num_qubits}")
         dim = 1 << num_qubits
-        matrix = sp.csr_matrix(matrix, dtype=np.complex128, shape=(dim, dim))
+        matrix = sp.csr_matrix(matrix, shape=(dim, dim))
         matrix.sum_duplicates()
+        if np.iscomplexobj(matrix.data) and not np.any(matrix.data.imag):
+            matrix = matrix.real
+        matrix = matrix.astype(
+            np.complex128 if np.iscomplexobj(matrix.data) else np.float64,
+            copy=False)
         matrix.eliminate_zeros()
         matrix.sort_indices()
         if check_hermitian:
@@ -102,10 +111,6 @@ class SparseOperator:
     @property
     def nnz(self) -> int:
         return self.matrix.nnz
-
-    def is_real(self) -> bool:
-        """True when every stored entry has exactly zero imaginary part."""
-        return bool(np.all(self.matrix.data.imag == 0.0))
 
     def to_dense(self) -> np.ndarray:
         return self.matrix.toarray()
@@ -203,8 +208,8 @@ def assemble(terms, num_qubits: int) -> SparseOperator:
     dim = 1 << num_qubits
     terms = list(terms)
     if not terms:
-        return SparseOperator(sp.csr_matrix((dim, dim), dtype=np.complex128),
-                              num_qubits, check_hermitian=False)
+        return SparseOperator(sp.csr_matrix((dim, dim)), num_qubits,
+                              check_hermitian=False)
     rows, cols, vals = [], [], []
     for term in terms:
         if not isinstance(term, PauliTerm):

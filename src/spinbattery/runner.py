@@ -16,7 +16,6 @@ import hashlib
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,11 +27,12 @@ from .metrics import (
     SweepRecord,
     TimeGrid,
     TimeSeries,
+    family_protocol_spec,
     fit_log10,
     stored_energy_series,
     substituted_protocol,
+    sweep_map,
 )
-from .metrics import _resolve_workers
 
 _SERIES_HEADER = "t,delta_e,power"
 _SWEEP_HEADER = "param,value,de_max,t_e,p_max,t_p"
@@ -74,7 +74,6 @@ class ExperimentConfig:
     sweep: SweepPlan | None
     output_dir: str
     label: str
-    seed: int | None = None
 
     def consumed_parameters(self) -> dict:
         """Everything that feeds the computation, for manifest and hashing."""
@@ -102,8 +101,6 @@ class ExperimentConfig:
             if self.sweep.families is not None:
                 params["sweep"]["families"] = [f.value
                                                for f in self.sweep.families]
-        if self.seed is not None:
-            params["seed"] = self.seed
         return params
 
 
@@ -280,7 +277,6 @@ def parse_config(text: str, label: str = "config") -> ExperimentConfig:
                                 default=BackendKind.DENSE_EIGEN)
     krylov_dim = backend_section.take("krylov_dim", int, default=30)
     tolerance = backend_section.take("tolerance", float, default=1e-10)
-    seed = backend_section.take("seed", int)
     backend_section.reject_leftovers()
     try:
         backend = PropagatorBackend(kind, krylov_dim, tolerance)
@@ -306,10 +302,10 @@ def parse_config(text: str, label: str = "config") -> ExperimentConfig:
                     "bad value for sweep.values: ring sizes must be integers")
             values = tuple(int(v) for v in values)
         sweep = SweepPlan(parameter, values, families, emit_series)
+        _, first_charger = _charger_variants(charger, families)[0]
+        base = dataclasses.replace(protocol, charger=first_charger)
         for value in values:
             try:
-                base = protocol if families is None else dataclasses.replace(
-                    protocol, charger=_family_charger(families[0], charger))
                 substituted_protocol(base, parameter, value)
             except ParameterError as exc:
                 raise ParameterError(f"[sweep] value {value:g}: {exc}")
@@ -320,20 +316,21 @@ def parse_config(text: str, label: str = "config") -> ExperimentConfig:
     output_section.reject_leftovers()
 
     return ExperimentConfig(protocol=protocol, grid=grid, backend=backend,
-                            sweep=sweep, output_dir=directory, label=label,
-                            seed=seed)
+                            sweep=sweep, output_dir=directory, label=label)
 
 
-def _family_charger(family: Family, template: HamiltonianSpec) -> HamiltonianSpec:
-    """Charger spec for one family, inheriting h/J/gamma from the template."""
-    J = template.J if template.J is not None else 1.0
-    h = template.h if template.h is not None else 1.0
-    gamma = template.gamma if template.gamma is not None else 0.5
-    if family is Family.FIELD_Z:
-        return HamiltonianSpec(family, h=h)
-    if family in (Family.XY_NN, Family.XY_ATA):
-        return HamiltonianSpec(family, J=J, gamma=gamma)
-    return HamiltonianSpec(family, J=J)
+def _charger_variants(template: HamiltonianSpec, families) -> list:
+    """(family or None, charger spec) per swept charger.
+
+    Without a family list the template itself is the one charger; otherwise
+    each family takes the template's h, J and gamma where it sets them.
+    """
+    if families is None:
+        return [(None, template)]
+    params = {"J": 1.0 if template.J is None else template.J,
+              "h": 1.0 if template.h is None else template.h,
+              "gamma": 0.5 if template.gamma is None else template.gamma}
+    return [(f, family_protocol_spec(f, **params)) for f in families]
 
 
 # ---------------------------------------------------------------------------
@@ -512,27 +509,6 @@ def _is_boundary(record: SweepRecord, grid_end: float) -> bool:
             or record.t_at_p_max >= grid_end - 1e-12)
 
 
-def _evaluate_points(config: ExperimentConfig, base: ProtocolSpec,
-                     workers) -> list:
-    """(value, series or None, error or None) per sweep value, input order."""
-    plan = config.sweep
-
-    def one(value):
-        try:
-            protocol = substituted_protocol(base, plan.parameter, value)
-            series = stored_energy_series(protocol, config.grid,
-                                          config.backend)
-            return value, series, None
-        except Exception as exc:  # noqa: BLE001 - reported per point
-            return value, None, f"{type(exc).__name__}: {exc}"
-
-    count = min(_resolve_workers(workers), max(len(plan.values), 1))
-    if count <= 1 or len(plan.values) <= 1:
-        return [one(v) for v in plan.values]
-    with ThreadPoolExecutor(max_workers=count) as pool:
-        return list(pool.map(one, plan.values))
-
-
 def run(config: ExperimentConfig, workers=None, echo=print) -> int:
     """Execute one config, write CSVs and the manifest, return exit status."""
     started = time.time()
@@ -566,15 +542,23 @@ def run(config: ExperimentConfig, workers=None, echo=print) -> int:
         manifest["boundary_max"] = _is_boundary(record, grid_end)
     else:
         plan = config.sweep
-        variants = ([(None, config.protocol.charger)]
-                    if plan.families is None else
-                    [(f, _family_charger(f, config.protocol.charger))
-                     for f in plan.families])
         fits = {}
-        for family, charger in variants:
+        for family, charger in _charger_variants(config.protocol.charger,
+                                                 plan.families):
             tag = "" if family is None else f"_{family.value}"
             base = dataclasses.replace(config.protocol, charger=charger)
-            outcomes = _evaluate_points(config, base, workers)
+
+            def one(value):
+                """(value, series or None, error or None) for one point."""
+                try:
+                    protocol = substituted_protocol(base, plan.parameter, value)
+                    series = stored_energy_series(protocol, config.grid,
+                                                  config.backend)
+                    return value, series, None
+                except Exception as exc:  # noqa: BLE001 - reported per point
+                    return value, None, f"{type(exc).__name__}: {exc}"
+
+            outcomes = sweep_map(one, plan.values, workers)
             records = []
             for value, series, error in outcomes:
                 if error is not None:

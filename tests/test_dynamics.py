@@ -1,5 +1,7 @@
 """Ground states, propagation backends, and the piecewise protocol engine."""
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -375,3 +377,18 @@ def test_returned_states_are_energy_consistent():
     h_b = engine.h_battery
     for (t, state), energy in zip(pairs, energies):
         assert expectation(h_b, state) == pytest.approx(energy, abs=1e-9)
+
+
+def test_battery_energy_memory_is_bounded():
+    # 20001 samples at N=10 would take 328 MB as one complex column array
+    engine = ProtocolEvolution(field_protocol(num_qubits=10), DENSE)
+    times = np.linspace(0.0, 100.0, 20001)
+    engine.battery_energy(times[:2])  # eigensystem outside the measurement
+    tracemalloc.start()
+    try:
+        energies = engine.battery_energy(times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert energies.shape == times.shape
+    assert peak < (1 << 10) * times.size * 16 / 4

@@ -241,3 +241,12 @@ def test_charging_equals_rescaled_battery_coupling():
     rescaled = build(HamiltonianSpec(Family.ISING_NN, J=(1 - lam) * 2.0), 5)
     total = rescaled + build(charger, 5)
     npt.assert_allclose(charging.to_dense(), total.to_dense(), atol=1e-14)
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_families_and_protocol_generators_store_float64(family):
+    assert build(make_spec(family), 5).matrix.dtype == np.float64
+    p = ProtocolSpec(make_spec(Family.XY_ATA), make_spec(family), lam=0.3,
+                     num_qubits=5)
+    for phase in ProtocolPhase:
+        assert protocol_hamiltonian(p, phase).matrix.dtype == np.float64

@@ -12,12 +12,17 @@ from spinbattery import (
     PauliAxis,
     PauliTerm,
     PropagatorBackend,
+    ProtocolEvolution,
+    ProtocolPhase,
+    ProtocolSpec,
     StateVector,
     assemble,
     build,
     propagate,
+    protocol_hamiltonian,
     spectrum,
 )
+from spinbattery.metrics import family_protocol_spec
 from spinbattery.oracle import DenseOperator, dense_expm_apply, xbasis_enumeration
 
 UP = StateVector.basis_state(1, 0)
@@ -129,3 +134,42 @@ def test_propagator_agreement_battery(seed=2024, trials=50):
             evolved = propagate(op, state, t, backend)
             deficit = 1.0 - abs(reference.overlap(evolved))
             assert deficit < 1e-8, (n, t, backend.kind, deficit)
+
+
+def _oracle_states(protocol, start, times):
+    """exp(-i H t) start phase by phase, through the oracle's dense eigh."""
+    h_charging = DenseOperator(
+        protocol_hamiltonian(protocol, ProtocolPhase.CHARGING).to_dense())
+    h_after = DenseOperator(
+        protocol_hamiltonian(protocol, ProtocolPhase.AFTER_CHARGING).to_dense())
+    t_on = protocol.t_on
+    states = []
+    for t in times:
+        if t_on is None or t <= t_on:
+            states.append(dense_expm_apply(h_charging, start, t))
+        else:
+            at_on = dense_expm_apply(h_charging, start, t_on)
+            states.append(dense_expm_apply(h_after, at_on, t - t_on))
+    return states
+
+
+@pytest.mark.parametrize("t_on", [None, 1.1], ids=["always-on", "t_on"])
+@pytest.mark.parametrize("charger", list(Family), ids=lambda f: f.value)
+@pytest.mark.parametrize("battery", list(Family), ids=lambda f: f.value)
+def test_protocol_evolution_matches_oracle(battery, charger, t_on):
+    """Dense protocol energies and states track the oracle on every pair."""
+    protocol = ProtocolSpec(family_protocol_spec(battery),
+                            family_protocol_spec(charger),
+                            lam=0.4, num_qubits=6, t_on=t_on)
+    engine = ProtocolEvolution(protocol, PropagatorBackend.dense())
+    times = np.array([2.5, 0.0, 0.37, 1.1, 4.0])
+    h_battery = engine.h_battery.to_dense()
+    reference = _oracle_states(protocol, engine.initial_state, times)
+    expected = [np.vdot(ref.amplitudes, h_battery @ ref.amplitudes).real
+                for ref in reference]
+    npt.assert_allclose(engine.battery_energy(times), expected, rtol=0,
+                        atol=1e-10)
+    for state, ref in zip(engine.states(times), reference):
+        overlap = np.vdot(ref.amplitudes, state.amplitudes)
+        aligned = state.amplitudes * (overlap.conjugate() / abs(overlap))
+        npt.assert_allclose(aligned, ref.amplitudes, rtol=0, atol=1e-10)

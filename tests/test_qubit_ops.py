@@ -198,3 +198,21 @@ def test_text_dump_round_trips_values():
         r, c, re_part, im_part = line.split()
         dense[int(r), int(c)] = complex(float(re_part), float(im_part))
     npt.assert_array_equal(dense, op.to_dense())
+
+
+def test_real_strings_store_float64():
+    op = assemble([PauliTerm([(1, Y), (2, Y)], 0.5), PauliTerm([(1, Z)], 1.0)], 2)
+    assert op.matrix.dtype == np.float64
+    assert assemble([], 3).matrix.dtype == np.float64
+
+
+def test_single_y_string_stays_complex():
+    assert pauli_site(3, 2, Y).matrix.dtype == np.complex128
+
+
+def test_real_plus_complex_sum_upcasts():
+    total = pauli_site(2, 1, X) + pauli_site(2, 1, Y)
+    assert total.matrix.dtype == np.complex128
+    npt.assert_allclose(total.to_dense(),
+                        kron_reference([(1, X)], 1.0, 2)
+                        + kron_reference([(1, Y)], 1.0, 2), atol=1e-15)

@@ -87,6 +87,8 @@ def test_unknown_key_is_named():
         parse_config(MINIMAL + "\ncadence = 3\n")
     with pytest.raises(ParameterError, match=r"unknown section \[extras\]"):
         parse_config(MINIMAL + "\n[extras]\nx = 1\n")
+    with pytest.raises(ParameterError, match="backend.seed"):
+        parse_config(MINIMAL + "\n[backend]\nseed = 3\n")
 
 
 def test_type_mismatch_is_named():
