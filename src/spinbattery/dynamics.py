@@ -1,15 +1,15 @@
 """State preparation, time evolution, and expectation values.
 
-Two propagation backends cover the package's working range:
-
-* ``DenseEigen`` diagonalizes each piecewise-constant generator once.  One
-  spectral sampler then serves ``propagate``, ``ProtocolEvolution`` and the
-  two-phase ``t_on`` protocol: with H = V diag(E) V^dag and c = V^dag psi(0),
-  it yields state columns ``psi(t) = V (c * exp(-i E t))`` in bounded
-  chunks, and ``battery_energy`` reduces <H_B> chunk by chunk.
-  Capacity-gated at 2^13.
-* ``KrylovLanczos`` approximates ``exp(-i H t) psi`` in a small Krylov
-  subspace with adaptive step halving; it never needs the full spectrum.
+One per-phase sampler does all propagation: for one constant generator H
+and one start vector it yields ``exp(-i H t) psi`` at ascending offsets t
+in bounded column blocks, and it is the only code that depends on the
+backend.  ``DenseEigen`` diagonalizes H once per phase and forms
+``V (c * exp(-i E t))`` with c = V^dag psi (capacity-gated at 2^13);
+``KrylovLanczos`` walks the offsets in a small Krylov subspace with
+adaptive step halving and never needs the full spectrum.  ``propagate``
+samples one time; ``ProtocolEvolution`` splits sorted times at ``t_on``,
+hands each side to its phase, and reads the blocks in ``battery_energy``
+and ``states``; ``metrics.stored_energy_series`` samples whole series.
 
 All five Hamiltonian families assemble to real symmetric matrices
 (sigma^y only ever enters in pairs) and are stored as float64, so the
@@ -20,6 +20,8 @@ with a complex vector acts on the real and imaginary parts separately.
 from __future__ import annotations
 
 import enum
+import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +29,7 @@ import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
 from .errors import CapacityError, NumericalError, ParameterError
-from .hamiltonians import ProtocolPhase, ProtocolSpec, protocol_hamiltonian
+from .hamiltonians import ProtocolPhase, ProtocolSpec, build, protocol_hamiltonian
 from .qubit_ops import SparseOperator
 
 DENSE_DIM_LIMIT = 1 << 13
@@ -37,6 +39,7 @@ _BREAKDOWN_TOL = 1e-13
 # below this dimension a full dense solve is cheaper than ARPACK
 _SMALL_DENSE_DIM = 512
 _STATE_RETENTION_LIMIT = 1 << 27  # complex amplitudes kept in memory
+_CHUNK_ELEMENTS = 1 << 20  # complex amplitudes per sampled column block
 
 
 class BackendKind(enum.Enum):
@@ -276,13 +279,14 @@ def _apply(matrix, vectors):
     return (matrix @ parts).view(np.complex128)
 
 
-def _spectral_columns(data: SpectralData, start, offsets, chunk: int):
-    """Column blocks ``V (c * exp(-i E t))`` for successive ``chunk`` offsets.
+def _spectral_columns(data: SpectralData, start, offsets):
+    """Column blocks ``V (c * exp(-i E t))`` over successive offsets.
 
     With H = V diag(E) V^dag and c = V^dag start, each column is
     exp(-i H t) start.  Only one block is alive at a time.
     """
     vecs = data.eigenvectors
+    chunk = max(1, _CHUNK_ELEMENTS // start.size)
     coeffs = _apply(vecs.T, start.conj()).conj()  # V^dag start
     for lo in range(0, offsets.size, chunk):
         # one expression, so no temporary outlives the yield
@@ -339,8 +343,6 @@ def _lanczos_step(matrix, vec, dt, krylov_dim):
 
 def _krylov_expm_apply(matrix, amplitudes, t, krylov_dim, tolerance):
     """exp(-i t H) amplitudes with adaptive substepping of t."""
-    if t == 0.0:
-        return amplitudes.copy()
     state = np.asarray(amplitudes, dtype=np.complex128)
     elapsed = 0.0
     dt = t
@@ -364,6 +366,34 @@ def _krylov_expm_apply(matrix, amplitudes, t, krylov_dim, tolerance):
     return state
 
 
+class _Phase:
+    """One constant generator H, sampled as ``exp(-i H t) start``.
+
+    ``DenseEigen`` diagonalizes H on first use and reuses it on later calls;
+    ``KrylovLanczos`` walks the offsets in order, one column at a time.
+    """
+
+    def __init__(self, op: SparseOperator, backend: PropagatorBackend):
+        self.op = op
+        self.backend = backend
+        self._spectral: SpectralData | None = None
+
+    def columns(self, start, offsets):
+        """Blocks of state columns at the ascending ``offsets``."""
+        backend = self.backend
+        if backend.kind is BackendKind.DENSE_EIGEN:
+            if self._spectral is None:
+                self._spectral = spectrum(self.op, want_vectors=True)
+            yield from _spectral_columns(self._spectral, start, offsets)
+            return
+        state, now = start, 0.0
+        for t in offsets:
+            state = _krylov_expm_apply(self.op.matrix, state, t - now,
+                                       backend.krylov_dim, backend.tolerance)
+            now = t
+            yield state[:, None]
+
+
 def propagate(op: SparseOperator, state: StateVector, t: float,
               backend: PropagatorBackend = PropagatorBackend()) -> StateVector:
     """Evolve a state for time t under a constant Hamiltonian."""
@@ -373,13 +403,8 @@ def propagate(op: SparseOperator, state: StateVector, t: float,
     t = float(t)
     if not np.isfinite(t):
         raise ParameterError(f"time must be finite, got {t}")
-    if backend.kind is BackendKind.DENSE_EIGEN:
-        data = spectrum(op, want_vectors=True)
-        amps = next(_spectral_columns(data, state.amplitudes,
-                                      np.array([t]), 1))[:, 0]
-    else:
-        amps = _krylov_expm_apply(op.matrix, state.amplitudes, t,
-                                  backend.krylov_dim, backend.tolerance)
+    amps = next(_Phase(op, backend).columns(state.amplitudes,
+                                            np.array([t])))[:, 0]
     norm = float(np.linalg.norm(amps))
     if abs(norm - 1.0) > NORM_TOL:
         raise NumericalError(
@@ -391,29 +416,34 @@ def propagate(op: SparseOperator, state: StateVector, t: float,
 # the piecewise charging protocol
 
 
+@functools.lru_cache(maxsize=32)
+def _battery_ground(battery, num_qubits: int, literal_ata_sum: bool):
+    """``(H_B, E_0, psi_0)`` of one battery, shared by every protocol on it.
+
+    H_B depends on neither lambda nor the charger, so a sweep solves each
+    battery once; bounded, as each entry holds a 2^N ground vector.
+    """
+    h_battery = build(battery, num_qubits, literal_ata_sum)
+    return (h_battery, *ground_state(h_battery))
+
+
 class ProtocolEvolution:
     """Evaluates one protocol on arbitrary sample times.
 
-    The generator is constant on each side of ``t_on``, so the dense backend
-    diagonalizes at most two matrices regardless of how many samples are
-    requested; the Krylov backend walks the sorted times sequentially.
+    The sorted times are split once at ``t_on`` and each side goes to the
+    sampler of its phase, the state at ``t_on`` propagated afresh from psi_0;
+    the dense backend diagonalizes at most two matrices in all.
     """
-
-    _CHUNK_ELEMENTS = 1 << 20  # complex amplitudes per column block
 
     def __init__(self, protocol: ProtocolSpec, backend: PropagatorBackend):
         self.protocol = protocol
         self.backend = backend
-        self.h_battery = protocol_hamiltonian(protocol, ProtocolPhase.BEFORE_CHARGING)
+        self.h_battery, self.ground_energy, self.initial_state = \
+            _battery_ground(protocol.battery, protocol.num_qubits,
+                            protocol.literal_ata_sum)
         self.h_charging = protocol_hamiltonian(protocol, ProtocolPhase.CHARGING)
-        self.ground_energy, self.initial_state = ground_state(self.h_battery)
-        self._spectra: dict[str, SpectralData] = {}
-
-    def _eigensystem(self, which: str) -> SpectralData:
-        if which not in self._spectra:
-            op = self.h_charging if which == "charging" else self.h_battery
-            self._spectra[which] = spectrum(op, want_vectors=True)
-        return self._spectra[which]
+        self._charging = _Phase(self.h_charging, backend)
+        self._after = _Phase(self.h_battery, backend)
 
     def _checked_times(self, times) -> np.ndarray:
         times = np.asarray(times, dtype=np.float64)
@@ -426,61 +456,20 @@ class ProtocolEvolution:
     def _column_blocks(self, times):
         """(request positions, state columns) blocks in ascending time order."""
         order = np.argsort(times, kind="stable")
-        if self.backend.kind is BackendKind.DENSE_EIGEN:
-            blocks = self._dense_blocks(times[order])
-        else:
-            blocks = self._krylov_blocks(times[order])
-        done = 0
-        for columns in blocks:
-            yield order[done:done + columns.shape[1]], columns
-            done += columns.shape[1]
-
-    def _dense_blocks(self, times):
-        chunk = max(1, self._CHUNK_ELEMENTS // self.initial_state.dimension)
+        times = times[order]
         t_on = self.protocol.t_on
-        n_charging = times.size if t_on is None else int(
+        split = times.size if t_on is None else int(
             np.searchsorted(times, t_on, side="right"))
         psi0 = self.initial_state.amplitudes
-        charging = self._eigensystem("charging")
-        yield from _spectral_columns(charging, psi0, times[:n_charging], chunk)
-        if n_charging < times.size:
-            psi_on = next(_spectral_columns(charging, psi0,
-                                            np.array([t_on]), 1))[:, 0]
-            yield from _spectral_columns(self._eigensystem("battery"), psi_on,
-                                         times[n_charging:] - t_on, chunk)
-
-    def _krylov_blocks(self, times):
-        """One column per time; the state walks the sorted times."""
-        t_on = self.protocol.t_on
-        state = self.initial_state.amplitudes.copy()
-        now = 0.0
-        for t in times:
-            if t_on is not None and now < t_on < t:
-                state = self._krylov_to(self.h_charging, state, t_on - now)
-                now = t_on
-            if t != now:
-                on_charger = t_on is None or t <= t_on
-                state = self._krylov_to(
-                    self.h_charging if on_charger else self.h_battery,
-                    state, t - now)
-                now = t
-            yield state[:, None]
-
-    def _krylov_to(self, op, state, dt):
-        return _krylov_expm_apply(op.matrix, state, dt,
-                                  self.backend.krylov_dim,
-                                  self.backend.tolerance)
-
-    # -- public sampling surface
-
-    def state_columns(self, times) -> np.ndarray:
-        """Raw amplitude columns at each requested time (any order, >= 0)."""
-        times = self._checked_times(times)
-        columns = np.empty((self.initial_state.dimension, times.size),
-                           dtype=np.complex128)
-        for positions, block in self._column_blocks(times):
-            columns[:, positions] = block
-        return columns
+        blocks = [self._charging.columns(psi0, times[:split])]
+        if split < times.size:
+            psi_on = next(self._charging.columns(psi0, np.array([t_on])))
+            blocks.append(self._after.columns(psi_on[:, 0],
+                                              times[split:] - t_on))
+        done = 0
+        for columns in itertools.chain(*blocks):
+            yield order[done:done + columns.shape[1]], columns
+            done += columns.shape[1]
 
     def battery_energy(self, times) -> np.ndarray:
         """<H_B> at each requested time, reduced one column block at a time."""
@@ -498,27 +487,14 @@ class ProtocolEvolution:
         return energies
 
     def states(self, times) -> list[StateVector]:
-        columns = self.state_columns(times)
-        return [StateVector.normalized(columns[:, i])
-                for i in range(columns.shape[1])]
-
-
-def evolve_protocol(protocol: ProtocolSpec, grid, backend: PropagatorBackend,
-                    return_states: bool = False):
-    """Sample the protocol on a grid (see metrics.TimeGrid).
-
-    Returns a list of ``(t, <H_B>)`` pairs, or ``(t, StateVector)`` pairs
-    when states are retained.  Retention is memory-gated.
-    """
-    times = np.asarray(grid.times(), dtype=np.float64)
-    if times.size == 0 or times[0] != 0.0:
-        raise ParameterError("protocol grids must start at t = 0")
-    engine = ProtocolEvolution(protocol, backend)
-    if return_states:
-        if times.size * (1 << protocol.num_qubits) > _STATE_RETENTION_LIMIT:
+        """The state at each requested time (any order, >= 0), memory-gated."""
+        times = self._checked_times(times)
+        if times.size * self.initial_state.dimension > _STATE_RETENTION_LIMIT:
             raise CapacityError(
-                "state retention on this grid exceeds the in-memory budget; "
-                "sample energies instead")
-        return list(zip(times.tolist(), engine.states(times)))
-    energies = engine.battery_energy(times)
-    return list(zip(times.tolist(), energies.tolist()))
+                "state retention for this many times exceeds the in-memory "
+                "budget; sample energies instead")
+        states = [None] * times.size
+        for positions, block in self._column_blocks(times):
+            for position, column in zip(positions, block.T):
+                states[position] = StateVector.normalized(column)
+        return states

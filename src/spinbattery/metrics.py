@@ -17,7 +17,8 @@ import numpy as np
 
 from .dynamics import PropagatorBackend, ProtocolEvolution
 from .errors import ParameterError
-from .hamiltonians import Family, HamiltonianSpec, ProtocolSpec, _ATA_FAMILIES
+from .hamiltonians import (Family, HamiltonianSpec, ProtocolSpec, _ATA_FAMILIES,
+                           _as_family)
 
 WORKERS_ENV_VAR = "SPINBATTERY_WORKERS"
 
@@ -92,11 +93,6 @@ def _running_power(times, delta_e):
     power = np.zeros_like(delta_e)
     np.divide(delta_e, times, out=power, where=times > 0.0)
     return power
-
-
-def power_series(ts: TimeSeries) -> TimeSeries:
-    """Recompute the running-average power from the stored energies."""
-    return TimeSeries(ts.times, ts.delta_e, _running_power(ts.times, ts.delta_e))
 
 
 def _refinement_times(times, values, factor):
@@ -208,7 +204,11 @@ def _resolve_workers(workers):
         return max(1, int(workers))
     env = os.environ.get(WORKERS_ENV_VAR)
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ParameterError(
+                f"{WORKERS_ENV_VAR} must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 
@@ -298,7 +298,7 @@ def sweep_coupling(base: ProtocolSpec, coupling_values, grid: TimeGrid,
 def family_protocol_spec(family: Family, *, J: float = 1.0, h: float = 1.0,
                          gamma: float = 0.5) -> HamiltonianSpec:
     """Spec with the standard figure parameters for any family."""
-    family = Family(family)
+    family = _as_family(family)
     if family is Family.FIELD_Z:
         return HamiltonianSpec(family, h=h)
     if family in (Family.XY_NN, Family.XY_ATA):

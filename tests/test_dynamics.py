@@ -18,7 +18,6 @@ from spinbattery import (
     SpectralData,
     StateVector,
     build,
-    evolve_protocol,
     expectation,
     ground_state,
     pauli_site,
@@ -29,16 +28,6 @@ from spinbattery.oracle import xbasis_enumeration
 
 DENSE = PropagatorBackend.dense()
 KRYLOV = PropagatorBackend.krylov()
-
-
-class FixedGrid:
-    """Minimal stand-in exposing the grid protocol used by evolve_protocol."""
-
-    def __init__(self, values):
-        self.values = np.asarray(values, dtype=float)
-
-    def times(self):
-        return self.values
 
 
 def field_protocol(charger_family=Family.ISING_ATA, lam=1.0, num_qubits=6,
@@ -287,23 +276,16 @@ def test_backend_validation():
 
 def test_protocol_starts_at_ground_energy():
     p = field_protocol(num_qubits=6)
-    samples = evolve_protocol(p, FixedGrid([0.0, 0.4, 0.8]), DENSE)
-    assert samples[0][0] == 0.0
-    assert samples[0][1] == pytest.approx(-6.0, abs=1e-9)
+    energies = ProtocolEvolution(p, DENSE).battery_energy([0.0, 0.4, 0.8])
+    assert energies[0] == pytest.approx(-6.0, abs=1e-9)
 
 
 def test_zero_charger_keeps_energy_constant():
     p = ProtocolSpec(HamiltonianSpec(Family.FIELD_Z, h=1.0),
                      HamiltonianSpec(Family.FIELD_Z, h=0.0),
                      lam=0.0, num_qubits=4)
-    samples = evolve_protocol(p, FixedGrid(np.linspace(0, 5, 11)), DENSE)
-    energies = np.array([e for _, e in samples])
+    energies = ProtocolEvolution(p, DENSE).battery_energy(np.linspace(0, 5, 11))
     npt.assert_allclose(energies, -4.0, atol=1e-9)
-
-
-def test_grid_must_start_at_zero():
-    with pytest.raises(ParameterError):
-        evolve_protocol(field_protocol(num_qubits=4), FixedGrid([0.5, 1.0]), DENSE)
 
 
 def test_negative_times_rejected():
@@ -361,22 +343,35 @@ def test_site_uniformity_during_charging():
         assert max(values) - min(values) < 1e-8
 
 
-def test_state_retention_is_memory_gated():
-    p = field_protocol(num_qubits=10)
-    huge = FixedGrid(np.linspace(0, 1, 1 << 18))
+def test_state_retention_is_memory_gated(monkeypatch):
+    engine = ProtocolEvolution(field_protocol(num_qubits=10), DENSE)
+
+    def no_spectrum(*args, **kwargs):
+        raise AssertionError("the gate must act before any eigensystem")
+
+    monkeypatch.setattr("spinbattery.dynamics.spectrum", no_spectrum)
     with pytest.raises(CapacityError):
-        evolve_protocol(p, huge, DENSE, return_states=True)
+        engine.states(np.linspace(0, 1, 1 << 18))
 
 
 def test_returned_states_are_energy_consistent():
     p = field_protocol(Family.ISING_ATA, lam=0.5, num_qubits=5)
-    grid = FixedGrid(np.linspace(0, 4, 9))
-    pairs = evolve_protocol(p, grid, DENSE, return_states=True)
     engine = ProtocolEvolution(p, DENSE)
-    energies = engine.battery_energy(grid.times())
-    h_b = engine.h_battery
-    for (t, state), energy in zip(pairs, energies):
-        assert expectation(h_b, state) == pytest.approx(energy, abs=1e-9)
+    times = np.linspace(0, 4, 9)
+    energies = engine.battery_energy(times)
+    for state, energy in zip(engine.states(times), energies):
+        assert expectation(engine.h_battery, state) == pytest.approx(
+            energy, abs=1e-9)
+
+
+def test_battery_ground_state_is_shared_across_protocols():
+    first = ProtocolEvolution(field_protocol(lam=0.3, num_qubits=5), DENSE)
+    second = ProtocolEvolution(
+        field_protocol(Family.ISING_NN, lam=0.8, num_qubits=5), KRYLOV)
+    assert second.initial_state is first.initial_state
+    assert second.h_battery is first.h_battery
+    npt.assert_allclose(second.battery_energy([0.0, 1.0])[0],
+                        first.ground_energy, atol=1e-12)
 
 
 def test_battery_energy_memory_is_bounded():

@@ -19,7 +19,6 @@ from spinbattery import (
     fit_linear,
     fit_log10,
     max_over_time,
-    power_series,
     run_pairing,
     stored_energy_series,
     sweep_coupling,
@@ -27,6 +26,7 @@ from spinbattery import (
     sweep_point,
     sweep_size,
 )
+from spinbattery.metrics import family_protocol_spec
 
 DENSE = PropagatorBackend.dense()
 FIELD = HamiltonianSpec(Family.FIELD_Z, h=1.0)
@@ -83,10 +83,7 @@ def test_power_is_delta_over_time():
     series = TimeSeries.from_delta(np.array([0.0, 1.0, 2.0]),
                                    np.array([0.0, 2.0, 6.0]))
     assert series.power[2] == pytest.approx(3.0)
-    recomputed = power_series(series)
-    npt.assert_array_equal(recomputed.power, series.power)
-    npt.assert_array_equal(recomputed.power * recomputed.times,
-                           recomputed.delta_e)
+    npt.assert_array_equal(series.power * series.times, series.delta_e)
 
 
 def test_zero_energy_gives_zero_power():
@@ -261,6 +258,11 @@ def test_threaded_sweep_matches_sequential(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # pairings
+
+
+def test_unknown_family_is_a_parameter_error():
+    with pytest.raises(ParameterError, match="bogus"):
+        family_protocol_spec("bogus")
 
 
 def test_identical_battery_and_charger_stores_nothing():

@@ -153,15 +153,20 @@ def _oracle_states(protocol, start, times):
     return states
 
 
-@pytest.mark.parametrize("t_on", [None, 1.1], ids=["always-on", "t_on"])
+@pytest.mark.parametrize("t_on, backend", [
+    pytest.param(None, PropagatorBackend.dense(), id="always-on"),
+    pytest.param(1.1, PropagatorBackend.dense(), id="t_on"),
+    pytest.param(None, PropagatorBackend.krylov(), id="always-on-krylov"),
+    pytest.param(1.1, PropagatorBackend.krylov(), id="t_on-krylov"),
+])
 @pytest.mark.parametrize("charger", list(Family), ids=lambda f: f.value)
 @pytest.mark.parametrize("battery", list(Family), ids=lambda f: f.value)
-def test_protocol_evolution_matches_oracle(battery, charger, t_on):
-    """Dense protocol energies and states track the oracle on every pair."""
+def test_protocol_evolution_matches_oracle(battery, charger, t_on, backend):
+    """Protocol energies and states track the oracle on every pair."""
     protocol = ProtocolSpec(family_protocol_spec(battery),
                             family_protocol_spec(charger),
                             lam=0.4, num_qubits=6, t_on=t_on)
-    engine = ProtocolEvolution(protocol, PropagatorBackend.dense())
+    engine = ProtocolEvolution(protocol, backend)
     times = np.array([2.5, 0.0, 0.37, 1.1, 4.0])
     h_battery = engine.h_battery.to_dense()
     reference = _oracle_states(protocol, engine.initial_state, times)

@@ -341,6 +341,16 @@ def test_cli_validate_and_run(tmp_path, capsys):
     assert (tmp_path / "out" / "sweep.csv").exists()
 
 
+def test_cli_rejects_bad_worker_variable(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "exp.ini"
+    path.write_text(SMALL_SWEEP)
+    monkeypatch.setenv("SPINBATTERY_WORKERS", "two")
+    assert main(["run", str(path), "--output", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "SPINBATTERY_WORKERS" in err and "'two'" in err
+
+
 def test_cli_rejects_bad_inputs(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "missing.ini")]) == 2
     bad = tmp_path / "bad.ini"
