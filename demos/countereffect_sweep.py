@@ -13,7 +13,7 @@ from spinbattery import (
     PropagatorBackend,
     ProtocolSpec,
     TimeGrid,
-    sweep_lambda,
+    sweep,
 )
 
 
@@ -28,7 +28,7 @@ def main():
         num_qubits=8,
     )
     lambdas = [0.1 * i for i in range(11)]
-    records = sweep_lambda(base, lambdas, grid, backend)
+    records = sweep(base, "lambda", lambdas, grid, backend)
 
     print("canonical range, eight-spin ring")
     print(f"{'lambda':>7s} {'de_max':>9s} {'p_max':>8s}")
@@ -44,7 +44,7 @@ def main():
         extended_lambda=True,
     )
     lambdas = [0.2 * i for i in range(26)]
-    records = sweep_lambda(extended, lambdas, grid, backend)
+    records = sweep(extended, "lambda", lambdas, grid, backend)
     best = max(records, key=lambda r: r.p_max)
     print(f"\nextended range [0, 5]: p_max peaks at "
           f"lam = {best.parameter_value:.1f} with {best.p_max:.4f}")

@@ -13,7 +13,8 @@ from spinbattery import (
     PropagatorBackend,
     ProtocolSpec,
     TimeGrid,
-    sweep_coupling,
+    fit_log10,
+    sweep,
 )
 
 
@@ -25,8 +26,9 @@ def main():
         num_qubits=8,
     )
     couplings = [0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 4.0]
-    records, fit = sweep_coupling(base, couplings, TimeGrid(end=60.0),
-                                  PropagatorBackend.dense())
+    records = sweep(base, "J", couplings, TimeGrid(end=60.0),
+                    PropagatorBackend.dense())
+    fit = fit_log10(couplings, [r.p_max for r in records])
 
     print("ring battery, field charger, lam=0, eight spins")
     print(f"{'J':>5s} {'de_max':>9s} {'t_e':>8s} {'p_max':>8s}")

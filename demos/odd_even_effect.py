@@ -11,9 +11,9 @@ from spinbattery import (
     HamiltonianSpec,
     PropagatorBackend,
     ProtocolSpec,
-    default_grid,
+    TimeGrid,
     fit_linear,
-    sweep_size,
+    sweep,
 )
 
 
@@ -25,8 +25,7 @@ def main():
         num_qubits=4,
     )
     sizes = range(4, 11)
-    records = sweep_size(base, sizes, default_grid(),
-                         PropagatorBackend.dense())
+    records = sweep(base, "N", sizes, TimeGrid(), PropagatorBackend.dense())
 
     print("long-range Ising charger at lam=1")
     print(f"{'N':>3s} {'de_max':>9s} {'de_max/hN':>10s} {'p_max':>8s}")

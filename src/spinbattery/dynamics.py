@@ -54,14 +54,15 @@ class PropagatorBackend:
     tolerance: float = 1e-10
 
     def __post_init__(self):
-        kind = self.kind
-        if not isinstance(kind, BackendKind):
-            try:
-                kind = BackendKind(kind)
-            except ValueError:
-                names = ", ".join(k.value for k in BackendKind)
+        if not isinstance(self.kind, BackendKind):
+            # a kind's value or first word, in any letter case
+            key = str(self.kind).strip().lower()
+            kind = next((k for k in BackendKind if key in (
+                k.value.lower(), k.name.split("_")[0].lower())), None)
+            if kind is None:
                 raise ParameterError(
-                    f"unknown backend {self.kind!r} (choose from {names})")
+                    f"unknown backend {self.kind!r} (choose from DenseEigen "
+                    "or dense, KrylovLanczos or krylov)")
             object.__setattr__(self, "kind", kind)
         if int(self.krylov_dim) < 2:
             raise ParameterError(f"krylov_dim must be >= 2, got {self.krylov_dim}")
@@ -75,8 +76,9 @@ class PropagatorBackend:
         return cls(BackendKind.DENSE_EIGEN)
 
     @classmethod
-    def krylov(cls, krylov_dim: int = 30, tolerance: float = 1e-10) -> "PropagatorBackend":
-        return cls(BackendKind.KRYLOV_LANCZOS, krylov_dim, tolerance)
+    def krylov(cls, **options) -> "PropagatorBackend":
+        """Lanczos backend; ``options`` override ``krylov_dim``/``tolerance``."""
+        return cls(BackendKind.KRYLOV_LANCZOS, **options)
 
 
 class StateVector:

@@ -57,9 +57,10 @@ def _as_family(value) -> Family:
 class HamiltonianSpec:
     """Parameters selecting one member of one family.
 
-    Field usage is family-dependent: ``h`` only for FieldZ, ``J`` only for
-    interacting families (default 1), ``gamma`` only for XY, ``K`` only for
-    the long-range families (auto-derived from N when left unset).
+    Field usage is family-dependent: ``h`` only for FieldZ (default 1),
+    ``J`` only for interacting families (default 1), ``gamma`` only for XY
+    (default 0.5), ``K`` only for the long-range families (auto-derived from
+    N when left unset).  These defaults are the standard figure parameters.
     """
 
     family: Family
@@ -72,10 +73,12 @@ class HamiltonianSpec:
         family = _as_family(self.family)
         object.__setattr__(self, "family", family)
         if family is Family.FIELD_Z:
-            if self.h is None:
-                raise ParameterError("FieldZ requires the field strength h")
             if self.J is not None:
                 raise ParameterError("J is meaningless for FieldZ")
+            h = 1.0 if self.h is None else float(self.h)
+            if not math.isfinite(h):
+                raise ParameterError(f"h must be finite, got {h}")
+            object.__setattr__(self, "h", h)
         else:
             if self.h is not None:
                 raise ParameterError(f"h is meaningless for {family.value}")
@@ -83,15 +86,8 @@ class HamiltonianSpec:
             if not math.isfinite(J):
                 raise ParameterError(f"J must be finite, got {J}")
             object.__setattr__(self, "J", J)
-        if self.h is not None:
-            h = float(self.h)
-            if not math.isfinite(h):
-                raise ParameterError(f"h must be finite, got {h}")
-            object.__setattr__(self, "h", h)
         if family in _XY_FAMILIES:
-            if self.gamma is None:
-                raise ParameterError(f"{family.value} requires the anisotropy gamma")
-            gamma = float(self.gamma)
+            gamma = 0.5 if self.gamma is None else float(self.gamma)
             if not -1.0 <= gamma <= 1.0:
                 raise ParameterError(f"gamma must lie in [-1, 1], got {gamma}")
             object.__setattr__(self, "gamma", gamma)
@@ -216,6 +212,11 @@ class ProtocolSpec:
     literal_ata_sum: bool = False
 
     def __post_init__(self):
+        for flag in ("extended_lambda", "literal_ata_sum"):
+            value = getattr(self, flag)
+            if not isinstance(value, bool):
+                # a truthy string such as "no" would silently flip the flag
+                raise ParameterError(f"{flag} must be a bool, got {value!r}")
         num_qubits = int(self.num_qubits)
         needed = max(_min_size(self.battery.family), _min_size(self.charger.family))
         if num_qubits < needed:

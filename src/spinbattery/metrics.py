@@ -18,16 +18,19 @@ import numpy as np
 from .dynamics import PropagatorBackend, ProtocolEvolution
 from .errors import ParameterError
 from .hamiltonians import (Family, HamiltonianSpec, ProtocolSpec, _ATA_FAMILIES,
-                           _as_family)
+                           _XY_FAMILIES, _as_family)
 
 WORKERS_ENV_VAR = "SPINBATTERY_WORKERS"
 
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform sampling window [0, end] plus the local peak refinement factor."""
+    """Uniform sampling window [0, end] plus the local peak refinement factor.
 
-    end: float
+    ``TimeGrid()`` is the grid of the paper's figures.
+    """
+
+    end: float = 100.0
     step: float = 0.05
     refinement_factor: int = 10
     start: float = 0.0
@@ -53,10 +56,6 @@ class TimeGrid:
     def times(self) -> np.ndarray:
         count = int(np.floor((self.end - self.start) / self.step + 1e-9))
         return self.start + self.step * np.arange(count + 1)
-
-
-def default_grid() -> TimeGrid:
-    return TimeGrid(end=100.0, step=0.05, refinement_factor=10)
 
 
 @dataclass
@@ -263,62 +262,28 @@ def sweep_point(base: ProtocolSpec, parameter_name: str, value,
     return SweepRecord.from_series(parameter_name, value, series)
 
 
-def sweep_lambda(base: ProtocolSpec, lambdas, grid: TimeGrid,
-                 backend: PropagatorBackend, workers=None) -> list[SweepRecord]:
-    """Independent protocol runs across countereffect strengths."""
-    return sweep_map(
-        lambda lam: sweep_point(base, "lambda", float(lam), grid, backend),
-        lambdas, workers)
+def sweep(base: ProtocolSpec, parameter: str, values, grid: TimeGrid,
+          backend: PropagatorBackend, workers=None) -> list[SweepRecord]:
+    """Independent protocol runs over one parameter, in input order.
 
-
-def sweep_size(base: ProtocolSpec, sizes, grid: TimeGrid,
-               backend: PropagatorBackend, workers=None) -> list[SweepRecord]:
-    """Ring-size sweep; long-range cutoffs re-derive from each N."""
-    return sweep_map(
-        lambda n: sweep_point(base, "N", int(n), grid, backend),
-        sizes, workers)
-
-
-def sweep_coupling(base: ProtocolSpec, coupling_values, grid: TimeGrid,
-                   backend: PropagatorBackend,
-                   workers=None) -> tuple[list[SweepRecord], LogFit]:
-    """Battery-coupling sweep plus the P_max against log10(J) line.
-
-    The canonical setup pairs an Ising-ring battery with a transverse-field
-    charger at lambda = 0; any interacting battery is accepted.
+    ``parameter`` is ``lambda``, ``N`` or ``J`` as in ``substituted_protocol``;
+    a coupling sweep is fitted with ``fit_log10`` over its records.
     """
-    records = sweep_map(
-        lambda j: sweep_point(base, "J", float(j), grid, backend),
-        coupling_values, workers)
-    fit = fit_log10([r.parameter_value for r in records],
-                    [r.p_max for r in records])
-    return records, fit
+    return sweep_map(
+        lambda value: sweep_point(base, parameter, value, grid, backend),
+        values, workers)
 
 
-def family_protocol_spec(family: Family, *, J: float = 1.0, h: float = 1.0,
-                         gamma: float = 0.5) -> HamiltonianSpec:
-    """Spec with the standard figure parameters for any family."""
+def family_protocol_spec(family: Family, *, J: float | None = None,
+                         h: float | None = None,
+                         gamma: float | None = None) -> HamiltonianSpec:
+    """Spec for any family from the parameters it takes; the rest are dropped.
+
+    Parameters left unset take ``HamiltonianSpec``'s defaults.
+    """
     family = _as_family(family)
     if family is Family.FIELD_Z:
         return HamiltonianSpec(family, h=h)
-    if family in (Family.XY_NN, Family.XY_ATA):
+    if family in _XY_FAMILIES:
         return HamiltonianSpec(family, J=J, gamma=gamma)
     return HamiltonianSpec(family, J=J)
-
-
-def run_pairing(battery_family: Family, charger_family: Family,
-                num_qubits: int = 12, grid: TimeGrid | None = None,
-                backend: PropagatorBackend = PropagatorBackend(),
-                *, J: float = 1.0, h: float = 1.0, gamma: float = 0.5,
-                lambdas: tuple[float, float] = (0.0, 1.0),
-                ) -> tuple[TimeSeries, TimeSeries]:
-    """Series for one battery/charger pairing at two countereffect values."""
-    grid = default_grid() if grid is None else grid
-    battery = family_protocol_spec(battery_family, J=J, h=h, gamma=gamma)
-    charger = family_protocol_spec(charger_family, J=J, h=h, gamma=gamma)
-    out = []
-    for lam in lambdas:
-        protocol = ProtocolSpec(battery, charger, lam=float(lam),
-                                num_qubits=num_qubits)
-        out.append(stored_energy_series(protocol, grid, backend))
-    return tuple(out)

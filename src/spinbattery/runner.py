@@ -14,19 +14,21 @@ import configparser
 import dataclasses
 import hashlib
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
-from .dynamics import BackendKind, PropagatorBackend
+from .dynamics import PropagatorBackend
 from .errors import ParameterError
 from .hamiltonians import Family, HamiltonianSpec, ProtocolSpec
 from .metrics import (
     SweepRecord,
     TimeGrid,
     TimeSeries,
+    _resolve_workers,
     family_protocol_spec,
     fit_log10,
     stored_energy_series,
@@ -36,14 +38,6 @@ from .metrics import (
 
 _SERIES_HEADER = "t,delta_e,power"
 _SWEEP_HEADER = "param,value,de_max,t_e,p_max,t_p"
-
-_BACKEND_ALIASES = {
-    "dense": BackendKind.DENSE_EIGEN,
-    "denseeigen": BackendKind.DENSE_EIGEN,
-    "krylov": BackendKind.KRYLOV_LANCZOS,
-    "krylovlanczos": BackendKind.KRYLOV_LANCZOS,
-}
-
 
 def _fmt(x: float) -> str:
     """Fixed 12-significant-digit scientific notation."""
@@ -168,13 +162,6 @@ def _parse_family(raw: str) -> Family:
     raise ValueError(f"unknown family {raw!r} (choose from {names})")
 
 
-def _parse_backend_kind(raw: str) -> BackendKind:
-    kind = _BACKEND_ALIASES.get(raw.strip().lower())
-    if kind is None:
-        raise ValueError(f"unknown backend {raw!r} (dense or krylov)")
-    return kind
-
-
 def _parse_float_list(raw: str) -> tuple[float, ...]:
     items = [piece for piece in raw.replace("\n", ",").split(",")
              if piece.strip()]
@@ -188,22 +175,28 @@ def _parse_family_list(raw: str) -> tuple[Family, ...]:
     return tuple(_parse_family(piece) for piece in items)
 
 
-def _hamiltonian_from_section(section: _Section) -> HamiltonianSpec:
-    family = section.take("family", _parse_family, required=True)
-    h = section.take("h", float)
-    J = section.take("J", float)
-    gamma = section.take("gamma", float)
-    K = section.take("K", int)
+def _construct(section: _Section, cls, converters: dict, **given):
+    """``cls(**given)`` plus the section's keys named in ``converters``.
+
+    Only keys present in the document are passed, so ``cls``'s own defaults
+    fill the rest; construction errors are prefixed with the section name.
+    """
+    for key, convert in converters.items():
+        value = section.take(key, convert)
+        if value is not None:
+            given[key] = value
     section.reject_leftovers()
-    # conventional defaults so a minimal document stays valid
-    if family is Family.FIELD_Z and h is None:
-        h = 1.0
-    if family in (Family.XY_NN, Family.XY_ATA) and gamma is None:
-        gamma = 0.5
     try:
-        return HamiltonianSpec(family, h=h, J=J, gamma=gamma, K=K)
+        return cls(**given)
     except ParameterError as exc:
         raise ParameterError(f"[{section.name}] {exc}")
+
+
+def _hamiltonian_from_section(section: _Section) -> HamiltonianSpec:
+    family = section.take("family", _parse_family, required=True)
+    return _construct(section, HamiltonianSpec,
+                      {"h": float, "J": float, "gamma": float, "K": int},
+                      family=family)
 
 
 def parse_config(text: str, label: str = "config") -> ExperimentConfig:
@@ -246,42 +239,18 @@ def parse_config(text: str, label: str = "config") -> ExperimentConfig:
     charger = _hamiltonian_from_section(sections["charger"])
 
     protocol_section = sections["protocol"]
-    num_qubits = protocol_section.take("N", int, required=True)
-    lam = protocol_section.take("lambda", float, required=True)
-    t_on = protocol_section.take("t_on", float)
-    extended = protocol_section.take("extended_lambda", _parse_bool,
-                                     default=False)
-    literal = protocol_section.take("literal_ata_sum", _parse_bool,
-                                    default=False)
-    protocol_section.reject_leftovers()
-    try:
-        protocol = ProtocolSpec(battery, charger, lam=lam,
-                                num_qubits=num_qubits, t_on=t_on,
-                                extended_lambda=extended,
-                                literal_ata_sum=literal)
-    except ParameterError as exc:
-        raise ParameterError(f"[protocol] {exc}")
-
-    grid_section = sections.get("grid", _Section("grid", {}))
-    end = grid_section.take("end", float, default=100.0)
-    step = grid_section.take("step", float, default=0.05)
-    refinement = grid_section.take("refinement_factor", int, default=10)
-    grid_section.reject_leftovers()
-    try:
-        grid = TimeGrid(end=end, step=step, refinement_factor=refinement)
-    except ParameterError as exc:
-        raise ParameterError(f"[grid] {exc}")
-
-    backend_section = sections.get("backend", _Section("backend", {}))
-    kind = backend_section.take("kind", _parse_backend_kind,
-                                default=BackendKind.DENSE_EIGEN)
-    krylov_dim = backend_section.take("krylov_dim", int, default=30)
-    tolerance = backend_section.take("tolerance", float, default=1e-10)
-    backend_section.reject_leftovers()
-    try:
-        backend = PropagatorBackend(kind, krylov_dim, tolerance)
-    except ParameterError as exc:
-        raise ParameterError(f"[backend] {exc}")
+    protocol = _construct(
+        protocol_section, ProtocolSpec,
+        {"t_on": float, "extended_lambda": _parse_bool,
+         "literal_ata_sum": _parse_bool},
+        battery=battery, charger=charger,
+        num_qubits=protocol_section.take("N", int, required=True),
+        lam=protocol_section.take("lambda", float, required=True))
+    grid = _construct(sections.get("grid", _Section("grid", {})), TimeGrid,
+                      {"end": float, "step": float, "refinement_factor": int})
+    backend = _construct(sections.get("backend", _Section("backend", {})),
+                         PropagatorBackend,
+                         {"kind": str, "krylov_dim": int, "tolerance": float})
 
     sweep = None
     if "sweep" in sections:
@@ -327,16 +296,14 @@ def _charger_variants(template: HamiltonianSpec, families) -> list:
     """
     if families is None:
         return [(None, template)]
-    params = {"J": 1.0 if template.J is None else template.J,
-              "h": 1.0 if template.h is None else template.h,
-              "gamma": 0.5 if template.gamma is None else template.gamma}
-    return [(f, family_protocol_spec(f, **params)) for f in families]
+    return [(f, family_protocol_spec(f, J=template.J, h=template.h,
+                                     gamma=template.gamma))
+            for f in families]
 
 
 # ---------------------------------------------------------------------------
 # figure presets
 
-_FIG_GRID = TimeGrid(end=100.0, step=0.05, refinement_factor=10)
 _ALL_CHARGERS = (Family.ISING_ATA, Family.ISING_NN,
                  Family.XY_ATA, Family.XY_NN)
 
@@ -345,112 +312,68 @@ _LAMBDA_11 = tuple(round(0.1 * i, 10) for i in range(11))
 _LAMBDA_EXTENDED = tuple(round(0.1 * i, 10) for i in range(51))
 _J_SWEEP = (0.25,) + tuple(round(0.5 + 0.1 * i, 10) for i in range(16)) + (4.0,)
 
+# One row per distinct run; the panels of one figure that plot the same
+# run share its row.  Columns: battery, charger, lambda, N, swept parameter,
+# values, per-point series, swept charger families (None keeps the charger),
+# extended lambda, {panel name: description}.  Every spec, the grid and the
+# backend take their constructors' defaults.
+_PRESET_RUNS = (
+    ("FieldZ", "IsingATA", 0.0, 10, "lambda", _LAMBDA_5, True, None, False,
+     {"fig2a": "stored energy vs time across lambda",
+      "fig2b": "charging power vs time across lambda"}),
+    ("FieldZ", "IsingATA", 1.0, 5, "N", (5, 7, 9, 11), True, None, False,
+     {"fig2c1": "stored energy vs time for odd ring sizes"}),
+    ("FieldZ", "IsingATA", 1.0, 6, "N", (6, 8, 10, 12), True, None, False,
+     {"fig2c2": "stored energy vs time for even ring sizes"}),
+    ("FieldZ", "IsingATA", 1.0, 5, "N", tuple(range(5, 13)), True, None, False,
+     {"fig2d": "charging power vs time across ring sizes"}),
+    ("FieldZ", "IsingATA", 0.0, 10, "lambda", _LAMBDA_11, False, _ALL_CHARGERS,
+     False, {"fig3a": "peak stored energy vs lambda, four chargers",
+             "fig3b": "peak power vs lambda, four chargers"}),
+    ("FieldZ", "IsingATA", 1.0, 4, "N", tuple(range(4, 13)), False,
+     _ALL_CHARGERS, False,
+     {"fig3c": "peak stored energy vs ring size, four chargers",
+      "fig3d": "peak power vs ring size, four chargers"}),
+    ("IsingNN", "FieldZ", 0.0, 12, "lambda", (0.0, 1.0), True, None, False,
+     {"fig4a": "stored energy vs time, interacting battery",
+      "fig4b": "charging power vs time, interacting battery"}),
+    ("XYNN", "FieldZ", 0.0, 12, "lambda", (0.0, 1.0), True, None, False,
+     {"fig4c": "stored energy vs time, anisotropic battery",
+      "fig4d": "charging power vs time, anisotropic battery"}),
+    ("IsingNN", "FieldZ", 0.0, 12, "J", _J_SWEEP, True, None, False,
+     {"fig5a": "stored energy vs time across battery couplings",
+      "fig5b": "charging power vs time across battery couplings"}),
+    ("IsingNN", "XYNN", 0.0, 12, "lambda", (0.0, 1.0), True, None, False,
+     {"fig6a": "stored energy, Ising battery XY charger",
+      "fig6b": "charging power, Ising battery XY charger"}),
+    ("XYNN", "IsingNN", 0.0, 12, "lambda", (0.0, 1.0), True, None, False,
+     {"fig6c": "stored energy, XY battery Ising charger",
+      "fig6d": "charging power, XY battery Ising charger"}),
+    ("FieldZ", "IsingATA", 0.0, 10, "lambda", _LAMBDA_EXTENDED, False, None,
+     True, {"fig7a": "peak power vs extended lambda, Ising charger"}),
+    ("FieldZ", "XYATA", 0.0, 10, "lambda", _LAMBDA_EXTENDED, False, None,
+     True, {"fig7b": "peak power vs extended lambda, XY charger"}),
+)
 
-def _field_battery() -> HamiltonianSpec:
-    return HamiltonianSpec(Family.FIELD_Z, h=1.0)
-
-
-def _preset_protocol(battery, charger, lam, N, extended=False) -> ProtocolSpec:
-    return ProtocolSpec(battery, charger, lam=lam, num_qubits=N,
-                        extended_lambda=extended)
-
-
-def _preset_definitions() -> dict:
-    """name -> (config factory, one-line description)."""
-    field = _field_battery
-    ising_nn = lambda: HamiltonianSpec(Family.ISING_NN, J=1.0)
-    ising_ata = lambda: HamiltonianSpec(Family.ISING_ATA, J=1.0)
-    xy_nn = lambda: HamiltonianSpec(Family.XY_NN, J=1.0, gamma=0.5)
-    xy_ata = lambda: HamiltonianSpec(Family.XY_ATA, J=1.0, gamma=0.5)
-
-    def single_family(name, battery, charger, lam, N, parameter, values,
-                      emit_series, extended=False):
-        protocol = _preset_protocol(battery(), charger(), lam, N, extended)
-        sweep = SweepPlan(parameter, values, None, emit_series)
-        return ExperimentConfig(protocol=protocol, grid=_FIG_GRID,
-                                backend=PropagatorBackend.dense(),
-                                sweep=sweep, output_dir=f"out_{name}",
-                                label=name)
-
-    def multi_family(name, lam, N, parameter, values):
-        protocol = _preset_protocol(_field_battery(), ising_ata(), lam, N)
-        sweep = SweepPlan(parameter, values, _ALL_CHARGERS, False)
-        return ExperimentConfig(protocol=protocol, grid=_FIG_GRID,
-                                backend=PropagatorBackend.dense(),
-                                sweep=sweep, output_dir=f"out_{name}",
-                                label=name)
-
-    defs = {}
-
-    def add(name, factory, description):
-        defs[name] = (lambda: factory(name), description)
-
-    for name, desc in (("fig2a", "stored energy vs time across lambda"),
-                       ("fig2b", "charging power vs time across lambda")):
-        add(name, lambda n: single_family(n, field, ising_ata, 0.0, 10,
-                                          "lambda", _LAMBDA_5, True), desc)
-    add("fig2c1", lambda n: single_family(n, field, ising_ata, 1.0, 5, "N",
-                                          (5, 7, 9, 11), True),
-        "stored energy vs time for odd ring sizes")
-    add("fig2c2", lambda n: single_family(n, field, ising_ata, 1.0, 6, "N",
-                                          (6, 8, 10, 12), True),
-        "stored energy vs time for even ring sizes")
-    add("fig2d", lambda n: single_family(n, field, ising_ata, 1.0, 5, "N",
-                                         tuple(range(5, 13)), True),
-        "charging power vs time across ring sizes")
-
-    add("fig3a", lambda n: multi_family(n, 0.0, 10, "lambda", _LAMBDA_11),
-        "peak stored energy vs lambda, four chargers")
-    add("fig3b", lambda n: multi_family(n, 0.0, 10, "lambda", _LAMBDA_11),
-        "peak power vs lambda, four chargers")
-    add("fig3c", lambda n: multi_family(n, 1.0, 4, "N", tuple(range(4, 13))),
-        "peak stored energy vs ring size, four chargers")
-    add("fig3d", lambda n: multi_family(n, 1.0, 4, "N", tuple(range(4, 13))),
-        "peak power vs ring size, four chargers")
-
-    for name, batt, desc in (
-            ("fig4a", ising_nn, "stored energy vs time, interacting battery"),
-            ("fig4b", ising_nn, "charging power vs time, interacting battery"),
-            ("fig4c", xy_nn, "stored energy vs time, anisotropic battery"),
-            ("fig4d", xy_nn, "charging power vs time, anisotropic battery")):
-        add(name, lambda n, b=batt: single_family(n, b, field, 0.0, 12,
-                                                  "lambda", (0.0, 1.0), True),
-            desc)
-
-    for name, desc in (
-            ("fig5a", "stored energy vs time across battery couplings"),
-            ("fig5b", "charging power vs time across battery couplings")):
-        add(name, lambda n: single_family(n, ising_nn, field, 0.0, 12, "J",
-                                          _J_SWEEP, True), desc)
-
-    for name, batt, chg, desc in (
-            ("fig6a", ising_nn, xy_nn, "stored energy, Ising battery XY charger"),
-            ("fig6b", ising_nn, xy_nn, "charging power, Ising battery XY charger"),
-            ("fig6c", xy_nn, ising_nn, "stored energy, XY battery Ising charger"),
-            ("fig6d", xy_nn, ising_nn, "charging power, XY battery Ising charger")):
-        add(name, lambda n, b=batt, c=chg: single_family(
-            n, b, c, 0.0, 12, "lambda", (0.0, 1.0), True), desc)
-
-    for name, chg, desc in (
-            ("fig7a", ising_ata, "peak power vs extended lambda, Ising charger"),
-            ("fig7b", xy_ata, "peak power vs extended lambda, XY charger")):
-        add(name, lambda n, c=chg: single_family(
-            n, field, c, 0.0, 10, "lambda", _LAMBDA_EXTENDED, False,
-            extended=True), desc)
-
-    return defs
-
-
-PRESET_NAMES = tuple(sorted(_preset_definitions()))
+_PRESET_DESCRIPTIONS = {name: description for *_, panels in _PRESET_RUNS
+                        for name, description in panels.items()}
+PRESET_NAMES = tuple(sorted(_PRESET_DESCRIPTIONS))
 
 
 def preset_config(name: str) -> ExperimentConfig:
     """The bound ExperimentConfig for one named figure preset."""
-    defs = _preset_definitions()
-    if name not in defs:
-        known = ", ".join(sorted(defs))
-        raise ParameterError(f"unknown preset {name!r} (choose from {known})")
-    return defs[name][0]()
+    for (battery, charger, lam, N, parameter, values, series, chargers,
+         extended, panels) in _PRESET_RUNS:
+        if name in panels:
+            protocol = ProtocolSpec(HamiltonianSpec(battery),
+                                    HamiltonianSpec(charger), lam=lam,
+                                    num_qubits=N, extended_lambda=extended)
+            return ExperimentConfig(
+                protocol=protocol, grid=TimeGrid(), backend=PropagatorBackend(),
+                sweep=SweepPlan(parameter, values, chargers, series),
+                output_dir=f"out_{name}", label=name)
+    raise ParameterError(f"unknown preset {name!r} "
+                         f"(choose from {', '.join(PRESET_NAMES)})")
 
 
 def _preset_summary(config: ExperimentConfig) -> str:
@@ -476,9 +399,8 @@ def _preset_summary(config: ExperimentConfig) -> str:
 
 def list_presets() -> list[tuple[str, str, str]]:
     """(name, parameter summary, description) rows, deterministic order."""
-    defs = _preset_definitions()
-    return [(name, _preset_summary(defs[name][0]()), defs[name][1])
-            for name in sorted(defs)]
+    return [(name, _preset_summary(preset_config(name)),
+             _PRESET_DESCRIPTIONS[name]) for name in PRESET_NAMES]
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +408,15 @@ def list_presets() -> list[tuple[str, str, str]]:
 
 
 def _write_text(path: Path, lines) -> None:
-    path.write_text("\n".join(lines) + "\n", encoding="ascii", newline="\n")
+    """Write ``lines`` through ``<name>.tmp`` and a rename: all or nothing."""
+    temp = path.with_name(path.name + ".tmp")
+    try:
+        with open(temp, "w", encoding="ascii", newline="\n") as sink:
+            sink.writelines(line + "\n" for line in lines)
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
 
 
 def _series_lines(series: TimeSeries):
@@ -512,6 +442,7 @@ def _is_boundary(record: SweepRecord, grid_end: float) -> bool:
 def run(config: ExperimentConfig, workers=None, echo=print) -> int:
     """Execute one config, write CSVs and the manifest, return exit status."""
     started = time.time()
+    workers = _resolve_workers(workers)  # a bad variable fails before any write
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -592,9 +523,8 @@ def run(config: ExperimentConfig, workers=None, echo=print) -> int:
             status = 1
 
     manifest["wall_time_s"] = round(time.time() - started, 3)
-    with open(out_dir / "manifest.json", "w", encoding="ascii") as sink:
-        json.dump(manifest, sink, indent=2, sort_keys=True)
-        sink.write("\n")
+    _write_text(out_dir / "manifest.json",
+                [json.dumps(manifest, indent=2, sort_keys=True)])
 
     if manifest["boundary_max"]:
         echo("warning: a reported maximum sits on the final grid time; "

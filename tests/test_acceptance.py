@@ -18,25 +18,22 @@ from spinbattery import (
     HamiltonianSpec,
     PropagatorBackend,
     ProtocolSpec,
+    TimeGrid,
     build,
-    default_grid,
     expectation,
     fit_linear,
+    fit_log10,
     ground_state,
-    max_over_time,
     propagate,
-    run_pairing,
     spectrum,
-    sweep_coupling,
-    sweep_lambda,
-    sweep_size,
+    sweep,
 )
 from spinbattery.oracle import DenseOperator, dense_expm_apply, xbasis_enumeration
 from spinbattery.runner import parse_config, preset_config, run
 
 DENSE = PropagatorBackend.dense()
 KRYLOV = PropagatorBackend.krylov()
-GRID = default_grid()
+GRID = TimeGrid()
 FIELD = HamiltonianSpec(Family.FIELD_Z, h=1.0)
 
 CHARGERS = {
@@ -65,15 +62,15 @@ def _verdict(number, ok, detail):
 @pytest.fixture(scope="module")
 def lambda_records():
     """lambda in {0,.25,.5,.75,1} at N=10 for all four chargers."""
-    return {name: sweep_lambda(_charged(name, 0.0, 10), LAMBDA_GRID,
-                               GRID, DENSE)
+    return {name: sweep(_charged(name, 0.0, 10), "lambda", LAMBDA_GRID,
+                        GRID, DENSE)
             for name in CHARGERS}
 
 
 @pytest.fixture(scope="module")
 def size_records():
     """N in 4..12 at lambda=1 for all four chargers, single-count pairs."""
-    return {name: sweep_size(_charged(name, 1.0, 4), SIZES, GRID, DENSE)
+    return {name: sweep(_charged(name, 1.0, 4), "N", SIZES, GRID, DENSE)
             for name in CHARGERS}
 
 
@@ -126,10 +123,12 @@ def test_criterion_3_odd_even_effect(size_records):
     # concluding; odd rings have no antipodal pair, so only even sizes can
     # change under the alternative counting.
     retry_sizes = (7, 8, 9, 10, 11, 12)
-    ising_lit = {r.parameter_value: r.delta_e_max for r in sweep_size(
-        _charged("IsingATA", 1.0, 7, literal=True), retry_sizes, GRID, DENSE)}
-    xy_lit = {r.parameter_value: r.delta_e_max for r in sweep_size(
-        _charged("XYATA", 1.0, 7, literal=True), retry_sizes, GRID, DENSE)}
+    ising_lit = {r.parameter_value: r.delta_e_max for r in sweep(
+        _charged("IsingATA", 1.0, 7, literal=True), "N", retry_sizes, GRID,
+        DENSE)}
+    xy_lit = {r.parameter_value: r.delta_e_max for r in sweep(
+        _charged("XYATA", 1.0, 7, literal=True), "N", retry_sizes, GRID,
+        DENSE)}
     literal_violations = _odd_even_violations(ising_lit, xy_lit)
     if not literal_violations:
         _verdict(3, True, "bands hold under the literal double-sum convention")
@@ -177,13 +176,15 @@ def test_criterion_6_coupling_optimum_and_log_fit():
     base = ProtocolSpec(HamiltonianSpec(Family.ISING_NN, J=1.0), FIELD,
                         lam=0.0, num_qubits=12)
     j_grid = [round(0.5 + 0.1 * i, 10) for i in range(16)]
-    records, _ = sweep_coupling(base, j_grid, GRID, DENSE)
+    records = sweep(base, "J", j_grid, GRID, DENSE)
     de = [r.delta_e_max for r in records]
     j_star = j_grid[int(np.argmax(de))]
     bad = []
     if abs(j_star - 1.0) > 0.1 + 1e-9:
         bad.append(f"argmax_J de_max={j_star:.1f}, expected 1.0 +- 0.1")
-    _, fit = sweep_coupling(base, [0.5, 1.0, 2.0, 4.0], GRID, DENSE)
+    fit_grid = [0.5, 1.0, 2.0, 4.0]
+    fit = fit_log10(fit_grid, [r.p_max for r in sweep(base, "J", fit_grid,
+                                                      GRID, DENSE)])
     print(f"criterion 6: measured log10 slope={fit.slope:.4f} "
           f"intercept={fit.intercept:.4f} r2={fit.r_squared:.4f}")
     if not 0.85 * 17.91 <= fit.slope <= 1.15 * 17.91:
@@ -205,10 +206,11 @@ def test_criterion_7_countereffect_advantage():
     bad = []
     summary = []
     for battery, charger in pairings:
-        off, on = run_pairing(battery, charger, num_qubits=12,
-                              grid=GRID, backend=DENSE)
-        de0, de1 = max_over_time(off, "energy")[1], max_over_time(on, "energy")[1]
-        p0, p1 = max_over_time(off, "power")[1], max_over_time(on, "power")[1]
+        base = ProtocolSpec(HamiltonianSpec(battery), HamiltonianSpec(charger),
+                            lam=0.0, num_qubits=12)
+        off, on = sweep(base, "lambda", (0.0, 1.0), GRID, DENSE, workers=1)
+        de0, de1 = off.delta_e_max, on.delta_e_max
+        p0, p1 = off.p_max, on.p_max
         tag = f"{battery.value}+{charger.value}"
         summary.append(f"{tag} dE {de0:.3f}->{de1:.3f} P {p0:.3f}->{p1:.3f}")
         if not (de1 > de0 and p1 > p0):

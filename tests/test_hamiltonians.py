@@ -150,10 +150,10 @@ def test_interaction_range_values():
 
 
 def test_spec_validation():
+    assert HamiltonianSpec(Family.FIELD_Z).h == 1.0  # h missing
+    assert HamiltonianSpec(Family.XY_NN, J=1.0).gamma == 0.5  # gamma missing
     with pytest.raises(ParameterError):
-        HamiltonianSpec(Family.FIELD_Z)  # h missing
-    with pytest.raises(ParameterError):
-        HamiltonianSpec(Family.XY_NN, J=1.0)  # gamma missing
+        HamiltonianSpec(Family.XY_NN, h=1.0)
     with pytest.raises(ParameterError):
         HamiltonianSpec(Family.XY_NN, J=1.0, gamma=1.5)
     with pytest.raises(ParameterError):
@@ -196,6 +196,23 @@ def test_protocol_spec_validation():
     extended = ProtocolSpec(battery, charger, lam=3.7, num_qubits=4,
                             extended_lambda=True)
     assert extended.lam == 3.7
+
+
+def test_protocol_flags_must_be_bool():
+    battery = HamiltonianSpec(Family.FIELD_Z)
+    charger = HamiltonianSpec(Family.ISING_ATA)
+    # "no" is truthy and would build the double-counted antipodal bonds
+    with pytest.raises(ParameterError, match="literal_ata_sum"):
+        ProtocolSpec(battery, charger, lam=0.5, num_qubits=4,
+                     literal_ata_sum="no")
+    # "false" is truthy and would open the extended lambda range
+    with pytest.raises(ParameterError, match="extended_lambda"):
+        ProtocolSpec(battery, charger, lam=3.0, num_qubits=4,
+                     extended_lambda="false")
+    # None computes the canonical numbers under a different config hash
+    with pytest.raises(ParameterError, match="extended_lambda"):
+        ProtocolSpec(battery, charger, lam=0.5, num_qubits=4,
+                     extended_lambda=None)
 
 
 def test_protocol_phases_match_definition():

@@ -15,16 +15,12 @@ from spinbattery import (
     SweepRecord,
     TimeGrid,
     TimeSeries,
-    default_grid,
     fit_linear,
     fit_log10,
     max_over_time,
-    run_pairing,
     stored_energy_series,
-    sweep_coupling,
-    sweep_lambda,
+    sweep,
     sweep_point,
-    sweep_size,
 )
 from spinbattery.metrics import family_protocol_spec
 
@@ -42,7 +38,7 @@ def ata_protocol(lam=1.0, num_qubits=4, **kwargs):
 
 
 def test_default_grid_shape():
-    grid = default_grid()
+    grid = TimeGrid()
     times = grid.times()
     assert times.size == 2001
     assert times[0] == 0.0
@@ -173,7 +169,7 @@ def test_flat_data_fits_perfectly():
 def test_sweep_lambda_zero_charger_stays_flat():
     base = ProtocolSpec(FIELD, HamiltonianSpec(Family.FIELD_Z, h=0.0),
                         lam=0.0, num_qubits=4)
-    records = sweep_lambda(base, [0.0], TimeGrid(end=5.0), DENSE)
+    records = sweep(base, "lambda", [0.0], TimeGrid(end=5.0), DENSE)
     assert len(records) == 1
     assert records[0].delta_e_max == pytest.approx(0.0, abs=1e-10)
     assert records[0].p_max == pytest.approx(0.0, abs=1e-10)
@@ -185,8 +181,8 @@ def test_sweep_lambda_suppression_helps():
     # lam=1 revival), but the peak power is, and full suppression always
     # beats leaving the battery term untouched.
     lambdas = [0.0, 0.25, 0.5, 0.75, 1.0]
-    records = sweep_lambda(ata_protocol(lam=0.0, num_qubits=5), lambdas,
-                           TimeGrid(end=40.0), DENSE)
+    records = sweep(ata_protocol(lam=0.0, num_qubits=5), "lambda", lambdas,
+                    TimeGrid(end=40.0), DENSE)
     de = [r.delta_e_max for r in records]
     p = [r.p_max for r in records]
     assert [r.parameter_value for r in records] == lambdas
@@ -195,7 +191,8 @@ def test_sweep_lambda_suppression_helps():
 
 
 def test_sweep_size_odd_even_contrast():
-    records = sweep_size(ata_protocol(), [4, 5, 6, 7], TimeGrid(end=100.0), DENSE)
+    records = sweep(ata_protocol(), "N", [4, 5, 6, 7], TimeGrid(end=100.0),
+                    DENSE)
     by_n = {r.parameter_value: r for r in records}
     for n in (4, 6):
         assert by_n[n].delta_e_max / (2 * n) == pytest.approx(1.0, abs=0.02)
@@ -209,15 +206,18 @@ def test_sweep_size_odd_even_contrast():
 def test_sweep_size_rederives_interaction_range():
     base = ProtocolSpec(FIELD, HamiltonianSpec(Family.ISING_ATA, J=1.0, K=2),
                         lam=1.0, num_qubits=4)
-    records = sweep_size(base, [6], TimeGrid(end=30.0), DENSE)
-    explicit = sweep_size(ata_protocol(num_qubits=6), [6], TimeGrid(end=30.0), DENSE)
+    records = sweep(base, "N", [6], TimeGrid(end=30.0), DENSE)
+    explicit = sweep(ata_protocol(num_qubits=6), "N", [6], TimeGrid(end=30.0),
+                     DENSE)
     assert records[0].delta_e_max == pytest.approx(explicit[0].delta_e_max, rel=1e-12)
 
 
 def test_sweep_coupling_records_and_fit():
     base = ProtocolSpec(HamiltonianSpec(Family.ISING_NN, J=1.0), FIELD,
                         lam=0.0, num_qubits=4)
-    records, fit = sweep_coupling(base, [0.5, 1.0, 2.0], TimeGrid(end=30.0), DENSE)
+    records = sweep(base, "J", [0.5, 1.0, 2.0], TimeGrid(end=30.0), DENSE)
+    fit = fit_log10([r.parameter_value for r in records],
+                    [r.p_max for r in records])
     assert [r.parameter_value for r in records] == [0.5, 1.0, 2.0]
     assert all(r.parameter_name == "J" for r in records)
     assert 0.0 <= fit.r_squared <= 1.0
@@ -228,7 +228,7 @@ def test_sweep_coupling_needs_interacting_battery():
     base = ProtocolSpec(FIELD, HamiltonianSpec(Family.ISING_NN, J=1.0),
                         lam=0.0, num_qubits=4)
     with pytest.raises(ParameterError):
-        sweep_coupling(base, [0.5, 1.0, 2.0], TimeGrid(end=10.0), DENSE)
+        sweep(base, "J", [0.5, 1.0, 2.0], TimeGrid(end=10.0), DENSE)
 
 
 def test_sweep_point_rejects_unknown_parameter():
@@ -238,8 +238,8 @@ def test_sweep_point_rejects_unknown_parameter():
 
 def test_sweep_records_carry_peak_times_inside_grid():
     grid = TimeGrid(end=50.0)
-    records = sweep_lambda(ata_protocol(lam=0.0, num_qubits=4),
-                           [0.5, 1.0], grid, DENSE)
+    records = sweep(ata_protocol(lam=0.0, num_qubits=4), "lambda", [0.5, 1.0],
+                    grid, DENSE)
     for rec in records:
         assert 0.0 <= rec.t_at_e_max <= grid.end + 1e-9
         assert 0.0 <= rec.t_at_p_max <= grid.end + 1e-9
@@ -250,9 +250,9 @@ def test_threaded_sweep_matches_sequential(monkeypatch):
     lambdas = [0.0, 0.5, 1.0]
     grid = TimeGrid(end=20.0)
     base = ata_protocol(lam=0.0, num_qubits=4)
-    sequential = sweep_lambda(base, lambdas, grid, DENSE, workers=1)
+    sequential = sweep(base, "lambda", lambdas, grid, DENSE, workers=1)
     monkeypatch.setenv("SPINBATTERY_WORKERS", "3")
-    threaded = sweep_lambda(base, lambdas, grid, DENSE)
+    threaded = sweep(base, "lambda", lambdas, grid, DENSE)
     assert sequential == threaded
 
 
@@ -266,18 +266,19 @@ def test_unknown_family_is_a_parameter_error():
 
 
 def test_identical_battery_and_charger_stores_nothing():
-    grid = TimeGrid(end=10.0)
-    _, at_one = run_pairing(Family.ISING_NN, Family.ISING_NN, num_qubits=4,
-                            grid=grid, backend=DENSE)
+    ring = HamiltonianSpec(Family.ISING_NN)
+    at_one = stored_energy_series(
+        ProtocolSpec(ring, ring, lam=1.0, num_qubits=4), TimeGrid(end=10.0),
+        DENSE)
     npt.assert_allclose(at_one.delta_e, 0.0, atol=1e-9)
 
 
 def test_countereffect_advantage_small_ring():
-    grid = TimeGrid(end=100.0)
-    off, on = run_pairing(Family.ISING_NN, Family.FIELD_Z, num_qubits=6,
-                          grid=grid, backend=DENSE)
-    assert max_over_time(on, "energy")[1] > max_over_time(off, "energy")[1]
-    assert max_over_time(on, "power")[1] > max_over_time(off, "power")[1]
+    base = ProtocolSpec(HamiltonianSpec(Family.ISING_NN), FIELD, lam=0.0,
+                        num_qubits=6)
+    off, on = sweep(base, "lambda", (0.0, 1.0), TimeGrid(end=100.0), DENSE)
+    assert on.delta_e_max > off.delta_e_max
+    assert on.p_max > off.p_max
 
 
 def test_sweep_record_from_series_roundtrip():

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from spinbattery import Family, ParameterError
+from spinbattery import Family, ParameterError, runner
 from spinbattery.runner import (
     ExperimentConfig,
     config_hash,
@@ -49,6 +49,108 @@ parameter = lambda
 values = 0.0, 1.0
 series = true
 """
+
+
+PINNED_PRESET_HASHES = {
+    "fig2a": "ad84f0074c42942e", "fig2b": "ad84f0074c42942e",
+    "fig2c1": "6dc38280086bc801", "fig2c2": "b9197743652e5b9a",
+    "fig2d": "549b501f591b080e", "fig3a": "3023cdd4424755f7",
+    "fig3b": "3023cdd4424755f7", "fig3c": "5dcc4eae115cfe65",
+    "fig3d": "5dcc4eae115cfe65", "fig4a": "9bcdcc96a2355728",
+    "fig4b": "9bcdcc96a2355728", "fig4c": "7ba4a2fe2cec166e",
+    "fig4d": "7ba4a2fe2cec166e", "fig5a": "62f15fbc7b672ff2",
+    "fig5b": "62f15fbc7b672ff2", "fig6a": "99779326438f4ff0",
+    "fig6b": "99779326438f4ff0", "fig6c": "d00182ef67a24f5a",
+    "fig6d": "d00182ef67a24f5a", "fig7a": "fe22135f0ab42dcc",
+    "fig7b": "8dde67f67fe9d839",
+}
+
+PINNED_PRESET_ROWS = [
+    ("fig2a",
+     "battery=FieldZ charger=IsingATA N=10 lambda=0 sweep=lambda "
+     "values=0,0.25,0.5,0.75,1 series",
+     "stored energy vs time across lambda"),
+    ("fig2b",
+     "battery=FieldZ charger=IsingATA N=10 lambda=0 sweep=lambda "
+     "values=0,0.25,0.5,0.75,1 series",
+     "charging power vs time across lambda"),
+    ("fig2c1",
+     "battery=FieldZ charger=IsingATA N=5 lambda=1 sweep=N "
+     "values=5,7,9,11 series",
+     "stored energy vs time for odd ring sizes"),
+    ("fig2c2",
+     "battery=FieldZ charger=IsingATA N=6 lambda=1 sweep=N "
+     "values=6,8,10,12 series",
+     "stored energy vs time for even ring sizes"),
+    ("fig2d",
+     "battery=FieldZ charger=IsingATA N=5 lambda=1 sweep=N "
+     "values=5,6,7,8,9,10,11,12 series",
+     "charging power vs time across ring sizes"),
+    ("fig3a",
+     "battery=FieldZ charger=IsingATA N=10 lambda=0 sweep=lambda "
+     "values=0..1 (11 pts) chargers=IsingATA,IsingNN,XYATA,XYNN",
+     "peak stored energy vs lambda, four chargers"),
+    ("fig3b",
+     "battery=FieldZ charger=IsingATA N=10 lambda=0 sweep=lambda "
+     "values=0..1 (11 pts) chargers=IsingATA,IsingNN,XYATA,XYNN",
+     "peak power vs lambda, four chargers"),
+    ("fig3c",
+     "battery=FieldZ charger=IsingATA N=4 lambda=1 sweep=N "
+     "values=4..12 (9 pts) chargers=IsingATA,IsingNN,XYATA,XYNN",
+     "peak stored energy vs ring size, four chargers"),
+    ("fig3d",
+     "battery=FieldZ charger=IsingATA N=4 lambda=1 sweep=N "
+     "values=4..12 (9 pts) chargers=IsingATA,IsingNN,XYATA,XYNN",
+     "peak power vs ring size, four chargers"),
+    ("fig4a",
+     "battery=IsingNN charger=FieldZ N=12 lambda=0 sweep=lambda "
+     "values=0,1 series",
+     "stored energy vs time, interacting battery"),
+    ("fig4b",
+     "battery=IsingNN charger=FieldZ N=12 lambda=0 sweep=lambda "
+     "values=0,1 series",
+     "charging power vs time, interacting battery"),
+    ("fig4c",
+     "battery=XYNN charger=FieldZ N=12 lambda=0 sweep=lambda "
+     "values=0,1 series",
+     "stored energy vs time, anisotropic battery"),
+    ("fig4d",
+     "battery=XYNN charger=FieldZ N=12 lambda=0 sweep=lambda "
+     "values=0,1 series",
+     "charging power vs time, anisotropic battery"),
+    ("fig5a",
+     "battery=IsingNN charger=FieldZ N=12 lambda=0 sweep=J "
+     "values=0.25..4 (18 pts) series",
+     "stored energy vs time across battery couplings"),
+    ("fig5b",
+     "battery=IsingNN charger=FieldZ N=12 lambda=0 sweep=J "
+     "values=0.25..4 (18 pts) series",
+     "charging power vs time across battery couplings"),
+    ("fig6a",
+     "battery=IsingNN charger=XYNN N=12 lambda=0 sweep=lambda "
+     "values=0,1 series",
+     "stored energy, Ising battery XY charger"),
+    ("fig6b",
+     "battery=IsingNN charger=XYNN N=12 lambda=0 sweep=lambda "
+     "values=0,1 series",
+     "charging power, Ising battery XY charger"),
+    ("fig6c",
+     "battery=XYNN charger=IsingNN N=12 lambda=0 sweep=lambda "
+     "values=0,1 series",
+     "stored energy, XY battery Ising charger"),
+    ("fig6d",
+     "battery=XYNN charger=IsingNN N=12 lambda=0 sweep=lambda "
+     "values=0,1 series",
+     "charging power, XY battery Ising charger"),
+    ("fig7a",
+     "battery=FieldZ charger=IsingATA N=10 lambda=0 sweep=lambda "
+     "values=0..5 (51 pts) extended",
+     "peak power vs extended lambda, Ising charger"),
+    ("fig7b",
+     "battery=FieldZ charger=XYATA N=10 lambda=0 sweep=lambda "
+     "values=0..5 (51 pts) extended",
+     "peak power vs extended lambda, XY charger"),
+]
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +277,14 @@ def test_preset_bindings_match_figure_parameters():
     assert len(fig3a.sweep.families) == 4
 
 
+def test_preset_bindings_are_pinned():
+    # every preset's consumed parameters and listing row, fixed when the
+    # presets became a table; a row padded with a wrong default shows here
+    assert {name: config_hash(preset_config(name))
+            for name, _, _ in list_presets()} == PINNED_PRESET_HASHES
+    assert list_presets() == PINNED_PRESET_ROWS
+
+
 # ---------------------------------------------------------------------------
 # hashing
 
@@ -277,6 +387,29 @@ def test_failing_point_yields_partial_results(tmp_path, capsys):
     assert len(rows) == 2  # header plus the surviving point
 
 
+def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch):
+    real_lines = runner._series_lines
+    calls = []
+
+    def failing_second(series):
+        calls.append(series)
+        lines = real_lines(series)
+        if len(calls) == 2:
+            yield next(lines)
+            raise OSError("disk full")
+        yield from lines
+
+    monkeypatch.setattr(runner, "_series_lines", failing_second)
+    config = dataclasses.replace(parse_config(SMALL_SWEEP),
+                                 output_dir=str(tmp_path))
+    with pytest.raises(OSError, match="disk full"):
+        run(config)
+    assert (tmp_path / "series_lambda_0.csv").exists()
+    assert not (tmp_path / "series_lambda_1.csv").exists()
+    assert not list(tmp_path.glob("*.tmp"))
+    assert not (tmp_path / "manifest.json").exists()
+
+
 def test_boundary_maximum_is_flagged_not_fatal(tmp_path, capsys):
     doc = MINIMAL + f"\n[grid]\nend = 0.3\n[output]\ndirectory = {tmp_path}\n"
     assert run(parse_config(doc)) == 0
@@ -342,13 +475,17 @@ def test_cli_validate_and_run(tmp_path, capsys):
 
 
 def test_cli_rejects_bad_worker_variable(tmp_path, capsys, monkeypatch):
-    path = tmp_path / "exp.ini"
-    path.write_text(SMALL_SWEEP)
     monkeypatch.setenv("SPINBATTERY_WORKERS", "two")
-    assert main(["run", str(path), "--output", str(tmp_path / "out")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error:")
-    assert "SPINBATTERY_WORKERS" in err and "'two'" in err
+    # a single run never sweeps, yet must reject the variable all the same
+    for name, doc in (("single", MINIMAL), ("sweep", SMALL_SWEEP)):
+        path = tmp_path / f"{name}.ini"
+        path.write_text(doc)
+        out = tmp_path / f"out_{name}"
+        assert main(["run", str(path), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "SPINBATTERY_WORKERS" in err and "'two'" in err
+        assert not out.exists()
 
 
 def test_cli_rejects_bad_inputs(tmp_path, capsys):
