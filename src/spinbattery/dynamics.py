@@ -4,12 +4,19 @@ One per-phase sampler does all propagation: for one constant generator H
 and one start vector it yields ``exp(-i H t) psi`` at ascending offsets t
 in bounded column blocks, and it is the only code that depends on the
 backend.  ``DenseEigen`` diagonalizes H once per phase and forms
-``V (c * exp(-i E t))`` with c = V^dag psi (capacity-gated at 2^13);
-``KrylovLanczos`` walks the offsets in a small Krylov subspace with
+``V (c * exp(-i E t))`` with c = V^dag psi (capacity-gated at dimension
+2^13); ``KrylovLanczos`` walks the offsets in a small Krylov subspace with
 adaptive step halving and never needs the full spectrum.  ``propagate``
 samples one time; ``ProtocolEvolution`` splits sorted times at ``t_on``,
 hands each side to its phase, and reads the blocks in ``battery_energy``
 and ``states``; ``metrics.stored_energy_series`` samples whole series.
+
+Every family conserves the spin-flip parity P = prod sigma^z, and psi_0
+has a definite P, so ``ProtocolEvolution`` runs both phases and <H_B> on
+psi_0's parity sector: half the register, an eighth of the dense solve,
+and the capacity gate applies to that half.  A psi_0 with more than 1e-20
+of its weight outside one sector, or a single site, keeps the full
+register; ``ground_state`` and ``propagate`` always use it.
 
 All five Hamiltonian families assemble to real symmetric matrices
 (sigma^y only ever enters in pairs) and are stored as float64, so the
@@ -40,6 +47,7 @@ _BREAKDOWN_TOL = 1e-13
 _SMALL_DENSE_DIM = 512
 _STATE_RETENTION_LIMIT = 1 << 27  # complex amplitudes kept in memory
 _CHUNK_ELEMENTS = 1 << 20  # complex amplitudes per sampled column block
+_SECTOR_LEAK_TOL = 1e-20  # weight a state may leave outside its parity sector
 
 
 class BackendKind(enum.Enum):
@@ -190,6 +198,45 @@ def spectrum(op: SparseOperator, want_vectors: bool = False) -> SpectralData:
     return SpectralData(vals)
 
 
+def _odd_parity(dim: int) -> np.ndarray:
+    """Mask of the basis states with P = prod sigma^z = -1 (odd popcount)."""
+    odd = np.zeros(1, dtype=bool)
+    while odd.size < dim:
+        odd = np.concatenate([odd, ~odd])  # the next bit up flips the parity
+    return odd
+
+
+def _parity_sector(amplitudes: np.ndarray) -> np.ndarray | None:
+    """Ascending basis indices of the parity sector holding ``amplitudes``.
+
+    Each sector is half of the register.  None for a single site, or when
+    the weight outside the heavier sector exceeds ``_SECTOR_LEAK_TOL``.
+    """
+    if amplitudes.size < 4:
+        return None
+    odd = _odd_parity(amplitudes.size)
+    weight = np.abs(amplitudes) ** 2
+    odd_weight, even_weight = weight[odd].sum(), weight[~odd].sum()
+    if min(odd_weight, even_weight) > _SECTOR_LEAK_TOL:
+        return None
+    return np.flatnonzero(odd if odd_weight > even_weight else ~odd)
+
+
+def _conserves_parity(op: SparseOperator) -> bool:
+    """Whether no entry of ``op`` couples basis states of opposite parity."""
+    coo = op.matrix.tocoo()
+    odd = _odd_parity(op.dimension)
+    return not np.any(odd[coo.row] != odd[coo.col])
+
+
+def _sector_block(op: SparseOperator, sector) -> SparseOperator:
+    """``op`` restricted to ``sector``, a register of one site fewer."""
+    if sector is None:
+        return op
+    return SparseOperator(op.matrix[sector][:, sector], op.num_qubits - 1,
+                          check_hermitian=False)
+
+
 def _select_ground_representative(cluster_basis: np.ndarray) -> StateVector:
     """Deterministic vector out of a (possibly degenerate) ground space.
 
@@ -226,7 +273,12 @@ def _ground_cluster_arpack(op: SparseOperator, num: int = 8):
     """Lowest eigenpairs via ARPACK with a fixed start vector.
 
     Returns None when the requested count may not contain the whole
-    degenerate cluster (the caller then falls back to a dense solve).
+    degenerate cluster (the caller then falls back to a dense solve).  One
+    start vector cannot resolve a cluster's multiplicity, so ARPACK may
+    return only part of it next to an excited state.  For an operator that
+    conserves P = prod sigma^z the representative of the whole cluster has
+    one parity, so a mixed one is rejected as well.  That is a necessary
+    condition only: a partial cluster can still pass it.
     """
     dim = op.dimension
     v0 = np.full(dim, 1.0 / np.sqrt(dim), dtype=op.matrix.dtype)
@@ -241,6 +293,8 @@ def _ground_cluster_arpack(op: SparseOperator, num: int = 8):
     if inside.all():
         return None  # cluster may extend past the computed window
     state = _select_ground_representative(vecs[:, inside])
+    if _parity_sector(state.amplitudes) is None and _conserves_parity(op):
+        return None
     return float(vals[0]), state
 
 
@@ -435,6 +489,10 @@ class ProtocolEvolution:
     The sorted times are split once at ``t_on`` and each side goes to the
     sampler of its phase, the state at ``t_on`` propagated afresh from psi_0;
     the dense backend diagonalizes at most two matrices in all.
+
+    Both phases and <H_B> run on psi_0's parity sector when it has one (see
+    the module docstring); ``states`` scatters the columns back into the
+    full register.
     """
 
     def __init__(self, protocol: ProtocolSpec, backend: PropagatorBackend):
@@ -444,8 +502,13 @@ class ProtocolEvolution:
             _battery_ground(protocol.battery, protocol.num_qubits,
                             protocol.literal_ata_sum)
         self.h_charging = protocol_hamiltonian(protocol, ProtocolPhase.CHARGING)
-        self._charging = _Phase(self.h_charging, backend)
-        self._after = _Phase(self.h_battery, backend)
+        self._sector = _parity_sector(self.initial_state.amplitudes)
+        psi0 = self.initial_state.amplitudes
+        self._start = psi0 if self._sector is None else psi0[self._sector]
+        self._battery_block = _sector_block(self.h_battery, self._sector)
+        self._charging = _Phase(_sector_block(self.h_charging, self._sector),
+                                backend)
+        self._after = _Phase(self._battery_block, backend)
 
     def _checked_times(self, times) -> np.ndarray:
         times = np.asarray(times, dtype=np.float64)
@@ -462,10 +525,10 @@ class ProtocolEvolution:
         t_on = self.protocol.t_on
         split = times.size if t_on is None else int(
             np.searchsorted(times, t_on, side="right"))
-        psi0 = self.initial_state.amplitudes
-        blocks = [self._charging.columns(psi0, times[:split])]
+        blocks = [self._charging.columns(self._start, times[:split])]
         if split < times.size:
-            psi_on = next(self._charging.columns(psi0, np.array([t_on])))
+            psi_on = next(self._charging.columns(self._start,
+                                                 np.array([t_on])))
             blocks.append(self._after.columns(psi_on[:, 0],
                                               times[split:] - t_on))
         done = 0
@@ -480,7 +543,7 @@ class ProtocolEvolution:
         residues = np.empty(times.size)
         for positions, block in self._column_blocks(times):
             energies[positions], residues[positions] = _energy_parts(
-                self.h_battery.matrix, block)
+                self._battery_block.matrix, block)
         if times.size:
             residue = np.abs(residues).max()
             if residue > 1e-10 * max(1.0, np.abs(energies).max()):
@@ -497,6 +560,11 @@ class ProtocolEvolution:
                 "budget; sample energies instead")
         states = [None] * times.size
         for positions, block in self._column_blocks(times):
+            if self._sector is not None:
+                full = np.zeros((self.initial_state.dimension, block.shape[1]),
+                                dtype=np.complex128)
+                full[self._sector] = block
+                block = full
             for position, column in zip(positions, block.T):
                 states[position] = StateVector.normalized(column)
         return states

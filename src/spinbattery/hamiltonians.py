@@ -44,13 +44,15 @@ EXTENDED_LAMBDA_MAX = 5.0
 
 
 def _as_family(value) -> Family:
+    """A ``Family`` or its value in any letter case."""
     if isinstance(value, Family):
         return value
-    try:
-        return Family(value)
-    except ValueError:
-        names = ", ".join(f.value for f in Family)
-        raise ParameterError(f"unknown family {value!r} (choose from {names})")
+    key = str(value).strip().lower()
+    for family in Family:
+        if family.value.lower() == key:
+            return family
+    names = ", ".join(f.value for f in Family)
+    raise ParameterError(f"unknown family {value!r} (choose from {names})")
 
 
 @dataclass(frozen=True)

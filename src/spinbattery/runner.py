@@ -23,7 +23,7 @@ from pathlib import Path
 from . import __version__
 from .dynamics import PropagatorBackend
 from .errors import ParameterError
-from .hamiltonians import Family, HamiltonianSpec, ProtocolSpec
+from .hamiltonians import Family, HamiltonianSpec, ProtocolSpec, _as_family
 from .metrics import (
     SweepRecord,
     TimeGrid,
@@ -134,9 +134,7 @@ class _Section:
             return default
         try:
             return convert(raw)
-        except ParameterError:
-            raise
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError) as exc:  # ParameterError included
             raise ParameterError(f"bad value for {self.name}.{key}: {exc}")
 
     def reject_leftovers(self):
@@ -154,14 +152,6 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"expected a boolean, got {raw!r}")
 
 
-def _parse_family(raw: str) -> Family:
-    for family in Family:
-        if family.value.lower() == raw.strip().lower():
-            return family
-    names = ", ".join(f.value for f in Family)
-    raise ValueError(f"unknown family {raw!r} (choose from {names})")
-
-
 def _parse_float_list(raw: str) -> tuple[float, ...]:
     items = [piece for piece in raw.replace("\n", ",").split(",")
              if piece.strip()]
@@ -172,7 +162,7 @@ def _parse_float_list(raw: str) -> tuple[float, ...]:
 
 def _parse_family_list(raw: str) -> tuple[Family, ...]:
     items = [piece for piece in raw.split(",") if piece.strip()]
-    return tuple(_parse_family(piece) for piece in items)
+    return tuple(_as_family(piece) for piece in items)
 
 
 def _construct(section: _Section, cls, converters: dict, **given):
@@ -193,7 +183,7 @@ def _construct(section: _Section, cls, converters: dict, **given):
 
 
 def _hamiltonian_from_section(section: _Section) -> HamiltonianSpec:
-    family = section.take("family", _parse_family, required=True)
+    family = section.take("family", _as_family, required=True)
     return _construct(section, HamiltonianSpec,
                       {"h": float, "J": float, "gamma": float, "K": int},
                       family=family)
@@ -539,7 +529,10 @@ def run(config: ExperimentConfig, workers=None, echo=print) -> int:
 
 
 def _load_config(path: str) -> ExperimentConfig:
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:  # an unreadable config is a config error
+        raise ParameterError(str(exc)) from exc
     return parse_config(text, label=Path(path).stem)
 
 
@@ -590,9 +583,9 @@ def main(argv=None) -> int:
     except ParameterError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

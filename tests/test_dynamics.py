@@ -1,5 +1,6 @@
 """Ground states, propagation backends, and the piecewise protocol engine."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -12,11 +13,13 @@ from spinbattery import (
     HamiltonianSpec,
     ParameterError,
     PauliAxis,
+    PauliTerm,
     PropagatorBackend,
     ProtocolEvolution,
     ProtocolSpec,
     SpectralData,
     StateVector,
+    assemble,
     build,
     expectation,
     ground_state,
@@ -24,6 +27,8 @@ from spinbattery import (
     propagate,
     spectrum,
 )
+from spinbattery.dynamics import DEGENERACY_TOL, _select_ground_representative
+from spinbattery.metrics import family_protocol_spec
 from spinbattery.oracle import xbasis_enumeration
 
 DENSE = PropagatorBackend.dense()
@@ -38,6 +43,16 @@ def field_protocol(charger_family=Family.ISING_ATA, lam=1.0, num_qubits=6,
         if charger_family is not Family.XY_ATA
         else HamiltonianSpec(charger_family, J=1.0, gamma=0.5),
         lam=lam, num_qubits=num_qubits, **kwargs)
+
+
+def odd_parity(num_qubits):
+    """Mask of the basis states with an odd number of down spins."""
+    return np.array([bin(i).count("1") % 2 == 1
+                     for i in range(1 << num_qubits)])
+
+
+def no_spectrum(*args, **kwargs):
+    raise AssertionError("no dense eigensystem may be built here")
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +171,33 @@ def test_iterative_path_agrees_with_dense_selection():
     assert energy == pytest.approx(-10.0, abs=1e-9)
     npt.assert_allclose(state.amplitudes,
                         StateVector.basis_state(10, 1023).amplitudes, atol=1e-8)
+
+
+def test_partial_arpack_cluster_falls_back_to_dense():
+    # The IsingNN ground level at N=11 is 22-fold; ARPACK returned a few
+    # copies of it next to an excited state, a vector mixing both parities
+    # that changed from call to call.
+    op = build(HamiltonianSpec(Family.ISING_NN), 11)
+    data = spectrum(op, want_vectors=True)
+    inside = data.eigenvalues <= data.eigenvalues[0] + DEGENERACY_TOL
+    expected = _select_ground_representative(data.eigenvectors[:, inside])
+    for _ in range(2):
+        energy, state = ground_state(op)
+        assert energy == pytest.approx(data.eigenvalues[0], abs=1e-9)
+        npt.assert_allclose(state.amplitudes, expected.amplitudes, rtol=0,
+                            atol=1e-10)
+
+
+def test_parity_guard_spares_operators_that_break_parity(monkeypatch):
+    # sum_j sigma^x_j does not conserve P: its unique ground state |-...->
+    # lies in both sectors, and ARPACK's answer stands
+    op = assemble([PauliTerm([(j, PauliAxis.X)], 1.0) for j in range(1, 11)],
+                  10)
+    monkeypatch.setattr("spinbattery.dynamics.spectrum", no_spectrum)
+    energy, state = ground_state(op)
+    assert energy == pytest.approx(-10.0, abs=1e-9)
+    npt.assert_allclose(state.amplitudes,
+                        np.where(odd_parity(10), -1.0, 1.0) / 32, atol=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -345,10 +387,7 @@ def test_site_uniformity_during_charging():
 
 def test_state_retention_is_memory_gated(monkeypatch):
     engine = ProtocolEvolution(field_protocol(num_qubits=10), DENSE)
-
-    def no_spectrum(*args, **kwargs):
-        raise AssertionError("the gate must act before any eigensystem")
-
+    # the gate must act before any eigensystem
     monkeypatch.setattr("spinbattery.dynamics.spectrum", no_spectrum)
     with pytest.raises(CapacityError):
         engine.states(np.linspace(0, 1, 1 << 18))
@@ -387,3 +426,41 @@ def test_battery_energy_memory_is_bounded():
         tracemalloc.stop()
     assert energies.shape == times.shape
     assert peak < (1 << 10) * times.size * 16 / 4
+
+
+def test_protocol_runs_in_half_the_register(monkeypatch):
+    dims = []
+
+    def recording(op, want_vectors=False):
+        dims.append(op.dimension)
+        return spectrum(op, want_vectors)
+
+    engines = [ProtocolEvolution(
+        ProtocolSpec(family_protocol_spec(battery),
+                     family_protocol_spec(charger), lam=0.4, num_qubits=6,
+                     t_on=1.1), DENSE)
+        for battery, charger in itertools.product(Family, repeat=2)]
+    monkeypatch.setattr("spinbattery.dynamics.spectrum", recording)
+    for engine in engines:
+        engine.battery_energy([0.0, 0.5, 2.0])  # both phases diagonalize
+    assert dims == [1 << 5] * 50
+
+
+def test_states_vanish_outside_the_parity_sector():
+    # the FieldZ ground state |1...1> at N=6 has even parity
+    engine = ProtocolEvolution(
+        field_protocol(Family.XY_ATA, lam=0.6, num_qubits=6, t_on=0.7), DENSE)
+    odd = odd_parity(6)
+    for state in engine.states([0.0, 0.3, 1.5, 4.0]):
+        assert state.dimension == 1 << 6
+        assert not state.amplitudes[odd].any()
+    assert np.count_nonzero(np.abs(state.amplitudes) > 1e-3) > 1
+
+
+def test_dense_gate_bounds_the_sector_block(monkeypatch):
+    engine = ProtocolEvolution(field_protocol(num_qubits=6), DENSE)
+    monkeypatch.setattr("spinbattery.dynamics.DENSE_DIM_LIMIT", 1 << 5)
+    energies = engine.battery_energy([0.0, 1.0])
+    assert energies[0] == pytest.approx(-6.0, abs=1e-9)
+    with pytest.raises(CapacityError):
+        spectrum(engine.h_charging)

@@ -178,3 +178,23 @@ def test_protocol_evolution_matches_oracle(battery, charger, t_on, backend):
         overlap = np.vdot(ref.amplitudes, state.amplitudes)
         aligned = state.amplitudes * (overlap.conjugate() / abs(overlap))
         npt.assert_allclose(aligned, ref.amplitudes, rtol=0, atol=1e-10)
+
+
+def test_mixed_parity_start_keeps_the_full_register(monkeypatch):
+    """A psi_0 spread over both parity sectors is propagated in full."""
+    protocol = ProtocolSpec(family_protocol_spec(Family.FIELD_Z),
+                            family_protocol_spec(Family.ISING_ATA),
+                            lam=0.4, num_qubits=6, t_on=1.1)
+    h_battery = build(protocol.battery, 6)
+    amplitudes = np.zeros(1 << 6)
+    amplitudes[:2] = np.sqrt(0.5)  # |0...00> + |0...01>, opposite parities
+    start = StateVector(amplitudes)
+    monkeypatch.setattr("spinbattery.dynamics._battery_ground",
+                        lambda *args: (h_battery, 5.0, start))
+    engine = ProtocolEvolution(protocol, PropagatorBackend.dense())
+    times = np.array([2.5, 0.0, 0.37, 1.1, 4.0])
+    dense = h_battery.to_dense()
+    expected = [np.vdot(ref.amplitudes, dense @ ref.amplitudes).real
+                for ref in _oracle_states(protocol, start, times)]
+    npt.assert_allclose(engine.battery_energy(times), expected, rtol=0,
+                        atol=1e-10)

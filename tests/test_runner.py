@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from spinbattery import Family, ParameterError, runner
+from spinbattery import Family, HamiltonianSpec, ParameterError, runner
 from spinbattery.runner import (
     ExperimentConfig,
     config_hash,
@@ -202,6 +202,20 @@ def test_type_mismatch_is_named():
         parse_config(MINIMAL + "\n[backend]\nkind = magic\n")
 
 
+def test_family_names_match_any_case():
+    assert HamiltonianSpec("fieldz").family is Family.FIELD_Z
+    config = parse_config(MINIMAL.replace("FieldZ", "fieldz")
+                          .replace("IsingNN", "ISINGNN"))
+    assert config.protocol.battery.family is Family.FIELD_Z
+    assert config.protocol.charger.family is Family.ISING_NN
+    with pytest.raises(ParameterError,
+                       match="bad value for battery.family: unknown family"):
+        parse_config(MINIMAL.replace("FieldZ", "Field"))
+    with pytest.raises(ParameterError,
+                       match="bad value for sweep.families: unknown family"):
+        parse_config(SMALL_SWEEP + "families = isingnn, nope\n")
+
+
 def test_missing_requirements_are_named():
     with pytest.raises(ParameterError, match=r"\[charger\]"):
         parse_config("[battery]\nfamily = FieldZ\n"
@@ -372,16 +386,17 @@ def test_csv_floats_carry_12_significant_digits(tmp_path):
 
 
 def test_failing_point_yields_partial_results(tmp_path, capsys):
-    # N=14 passes validation but trips the dense-backend capacity gate at
-    # run time, exercising the per-point capture path.
+    # N=15 passes validation but its parity sector (2^14 states) trips the
+    # dense-backend capacity gate at run time, exercising the per-point
+    # capture path.
     doc = SMALL_SWEEP.replace("parameter = lambda\nvalues = 0.0, 1.0",
-                              "parameter = N\nvalues = 14, 4")
+                              "parameter = N\nvalues = 15, 4")
     config = dataclasses.replace(parse_config(doc), output_dir=str(tmp_path))
     assert run(config) == 1
-    assert "N=14" in capsys.readouterr().err
+    assert "N=15" in capsys.readouterr().err
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["partial"] is True
-    assert manifest["errors"][0]["point"] == "N=14"
+    assert manifest["errors"][0]["point"] == "N=15"
     assert "CapacityError" in manifest["errors"][0]["error"]
     rows = (tmp_path / "sweep.csv").read_text().splitlines()
     assert len(rows) == 2  # header plus the surviving point
@@ -486,6 +501,15 @@ def test_cli_rejects_bad_worker_variable(tmp_path, capsys, monkeypatch):
         assert err.startswith("config error:")
         assert "SPINBATTERY_WORKERS" in err and "'two'" in err
         assert not out.exists()
+
+
+def test_cli_output_error_exits_3(tmp_path, capsys):
+    path = tmp_path / "exp.ini"
+    path.write_text(MINIMAL)
+    blocker = tmp_path / "plain_file"
+    blocker.write_text("")
+    assert main(["run", str(path), "--output", str(blocker / "out")]) == 3
+    assert capsys.readouterr().err.startswith("output error:")
 
 
 def test_cli_rejects_bad_inputs(tmp_path, capsys):
