@@ -2,14 +2,25 @@
 
 One per-phase sampler does all propagation: for one constant generator H
 and one start vector it yields ``exp(-i H t) psi`` at ascending offsets t
-in bounded column blocks, and it is the only code that depends on the
-backend.  ``DenseEigen`` diagonalizes H once per phase and forms
+in bounded blocks of coordinates, with the basis that maps them to state
+columns, and it is the only code that depends on the backend.
+``DenseEigen`` diagonalizes H once per phase and forms
 ``V (c * exp(-i E t))`` with c = V^dag psi (capacity-gated at dimension
 2^13); ``KrylovLanczos`` walks the offsets in a small Krylov subspace with
 adaptive step halving and never needs the full spectrum.  ``propagate``
 samples one time; ``ProtocolEvolution`` splits sorted times at ``t_on``,
 hands each side to its phase, and reads the blocks in ``battery_energy``
 and ``states``; ``metrics.stored_energy_series`` samples whole series.
+
+A symmetric psi has weight on few eigenvectors of H, so the dense phase
+keeps only those: it drops the lightest components of c while their summed
+weight stays within 1e-24, which moves every state by at most 1e-12 in
+norm and <H_B> by at most 2 ||H_B|| 1e-12.  When the m kept eigenvectors
+V_k are at most half of the phase dimension d, ``battery_energy`` reduces
+the coordinates c_k * exp(-i E_k t) with the m x m matrix
+B = V_k^dag H_B V_k, formed once per phase, so a sample costs O(m^2)
+instead of O(d^2); otherwise, and always for Krylov, the states themselves
+are reduced with the sparse H_B.
 
 Every family conserves the spin-flip parity P = prod sigma^z, and psi_0
 has a definite P, so ``ProtocolEvolution`` runs both phases and <H_B> on
@@ -28,7 +39,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +46,8 @@ import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
 from .errors import CapacityError, NumericalError, ParameterError
-from .hamiltonians import ProtocolPhase, ProtocolSpec, build, protocol_hamiltonian
+from .hamiltonians import (ProtocolPhase, ProtocolSpec, _shared_build,
+                           protocol_hamiltonian)
 from .qubit_ops import SparseOperator
 
 DENSE_DIM_LIMIT = 1 << 13
@@ -48,6 +59,9 @@ _SMALL_DENSE_DIM = 512
 _STATE_RETENTION_LIMIT = 1 << 27  # complex amplitudes kept in memory
 _CHUNK_ELEMENTS = 1 << 20  # complex amplitudes per sampled column block
 _SECTOR_LEAK_TOL = 1e-20  # weight a state may leave outside its parity sector
+# start weight a dense phase may drop from its eigenbasis: moves a state by
+# at most 1e-12 in norm (rounding leaves ~1e-30 on symmetry-zero components)
+_SUPPORT_DROP_WEIGHT = 1e-24
 
 
 class BackendKind(enum.Enum):
@@ -335,19 +349,47 @@ def _apply(matrix, vectors):
     return (matrix @ parts).view(np.complex128)
 
 
-def _spectral_columns(data: SpectralData, start, offsets):
-    """Column blocks ``V (c * exp(-i E t))`` over successive offsets.
+def _support(coeffs) -> np.ndarray:
+    """Mask of the eigencomponents of ``coeffs`` a dense phase keeps.
 
-    With H = V diag(E) V^dag and c = V^dag start, each column is
-    exp(-i H t) start.  Only one block is alive at a time.
+    The lightest components are dropped while their summed weight stays
+    within ``_SUPPORT_DROP_WEIGHT``, so every sampled state moves by at most
+    1e-12 in norm and <H_B> by at most 2 ||H_B|| 1e-12.
     """
-    vecs = data.eigenvectors
+    weight = np.abs(coeffs) ** 2
+    order = np.argsort(weight, kind="stable")
+    dropped = int(np.count_nonzero(np.cumsum(weight[order])
+                                   <= _SUPPORT_DROP_WEIGHT))
+    kept = np.ones(coeffs.size, dtype=bool)
+    kept[order[:dropped]] = False
+    return kept
+
+
+def _spectral_frame(data: SpectralData, start):
+    """``(basis, blocks)`` of ``exp(-i H t) start`` from H's eigensystem.
+
+    With H = V diag(E) V^dag and c = V^dag start, the state at t is
+    V (c * exp(-i E t)).  ``blocks(offsets)`` yields the coordinate blocks
+    c_k * exp(-i E_k t) of the kept eigenvectors (``_support``), in
+    ascending eigenvalue order; ``basis`` is those columns V_k when they are
+    at most half of V.  Otherwise ``basis`` is V and the dropped
+    coordinates are zero.  Only one block is alive at a time.
+    """
+    vecs, vals = data.eigenvectors, data.eigenvalues
     chunk = max(1, _CHUNK_ELEMENTS // start.size)
     coeffs = _apply(vecs.T, start.conj()).conj()  # V^dag start
-    for lo in range(0, offsets.size, chunk):
-        # one expression, so no temporary outlives the yield
-        yield _apply(vecs, coeffs[:, None] * np.exp(
-            np.outer(data.eigenvalues, -1j * offsets[lo:lo + chunk])))
+    kept = _support(coeffs)
+    if 2 * np.count_nonzero(kept) <= kept.size:
+        vecs, vals, coeffs = vecs[:, kept], vals[kept], coeffs[kept]
+    else:
+        coeffs[~kept] = 0.0
+
+    def blocks(offsets):
+        for lo in range(0, offsets.size, chunk):
+            yield coeffs[:, None] * np.exp(
+                np.outer(vals, -1j * offsets[lo:lo + chunk]))
+
+    return vecs, blocks
 
 
 def _energy_parts(matrix, columns):
@@ -425,7 +467,7 @@ def _krylov_expm_apply(matrix, amplitudes, t, krylov_dim, tolerance):
 class _Phase:
     """One constant generator H, sampled as ``exp(-i H t) start``.
 
-    ``DenseEigen`` diagonalizes H on first use and reuses it on later calls;
+    ``DenseEigen`` diagonalizes H on first use and reuses it for every start;
     ``KrylovLanczos`` walks the offsets in order, one column at a time.
     """
 
@@ -434,20 +476,31 @@ class _Phase:
         self.backend = backend
         self._spectral: SpectralData | None = None
 
-    def columns(self, start, offsets):
-        """Blocks of state columns at the ascending ``offsets``."""
+    def frame(self, start):
+        """``(basis, blocks)``: ``blocks(offsets)`` yields coordinate blocks
+        at the ascending ``offsets``, and the state columns are
+        ``basis @ block``, or the block itself when ``basis`` is None."""
         backend = self.backend
         if backend.kind is BackendKind.DENSE_EIGEN:
             if self._spectral is None:
                 self._spectral = spectrum(self.op, want_vectors=True)
-            yield from _spectral_columns(self._spectral, start, offsets)
-            return
-        state, now = start, 0.0
-        for t in offsets:
-            state = _krylov_expm_apply(self.op.matrix, state, t - now,
-                                       backend.krylov_dim, backend.tolerance)
-            now = t
-            yield state[:, None]
+            return _spectral_frame(self._spectral, start)
+
+        def walk(offsets):
+            state, now = start, 0.0
+            for t in offsets:
+                state = _krylov_expm_apply(self.op.matrix, state, t - now,
+                                           backend.krylov_dim,
+                                           backend.tolerance)
+                now = t
+                yield state[:, None]
+
+        return None, walk
+
+
+def _lift(basis, block):
+    """State columns of a coordinate block (see ``_Phase.frame``)."""
+    return block if basis is None else _apply(basis, block)
 
 
 def propagate(op: SparseOperator, state: StateVector, t: float,
@@ -459,8 +512,8 @@ def propagate(op: SparseOperator, state: StateVector, t: float,
     t = float(t)
     if not np.isfinite(t):
         raise ParameterError(f"time must be finite, got {t}")
-    amps = next(_Phase(op, backend).columns(state.amplitudes,
-                                            np.array([t])))[:, 0]
+    basis, blocks = _Phase(op, backend).frame(state.amplitudes)
+    amps = _lift(basis, next(blocks(np.array([t]))))[:, 0]
     norm = float(np.linalg.norm(amps))
     if abs(norm - 1.0) > NORM_TOL:
         raise NumericalError(
@@ -479,16 +532,44 @@ def _battery_ground(battery, num_qubits: int, literal_ata_sum: bool):
     H_B depends on neither lambda nor the charger, so a sweep solves each
     battery once; bounded, as each entry holds a 2^N ground vector.
     """
-    h_battery = build(battery, num_qubits, literal_ata_sum)
+    h_battery = _shared_build(battery, num_qubits, literal_ata_sum)
     return (h_battery, *ground_state(h_battery))
+
+
+class _Frame:
+    """One phase from one start, and how <H_B> is read off its blocks.
+
+    When the dense phase keeps at most half of its eigenvectors, <H_B> is
+    reduced on the coordinates with B = V_k^dag H_B V_k, formed once on
+    first use; otherwise, and always for Krylov, the blocks are lifted to
+    state columns and reduced with the sparse H_B.
+    """
+
+    def __init__(self, phase: _Phase, start, h_battery):
+        self.basis, self.blocks = phase.frame(start)
+        self._h_battery = h_battery
+
+    @functools.cached_property
+    def energy_matrix(self):
+        """B in the kept eigenbasis, or None when the blocks are lifted."""
+        basis = self.basis
+        if basis is None or 2 * basis.shape[1] > basis.shape[0]:
+            return None
+        return basis.conj().T @ _apply(self._h_battery, basis)
+
+    def energy_parts(self, block):
+        """``_energy_parts`` of H_B on the states of one coordinate block."""
+        if self.energy_matrix is None:
+            return _energy_parts(self._h_battery, _lift(self.basis, block))
+        return _energy_parts(self.energy_matrix, block)
 
 
 class ProtocolEvolution:
     """Evaluates one protocol on arbitrary sample times.
 
     The sorted times are split once at ``t_on`` and each side goes to the
-    sampler of its phase, the state at ``t_on`` propagated afresh from psi_0;
-    the dense backend diagonalizes at most two matrices in all.
+    frame of its phase, built on first use and kept for later calls (the
+    refinement pass); the dense backend diagonalizes at most two matrices.
 
     Both phases and <H_B> run on psi_0's parity sector when it has one (see
     the module docstring); ``states`` scatters the columns back into the
@@ -518,32 +599,41 @@ class ProtocolEvolution:
             raise ParameterError("sample times must be >= 0")
         return times
 
-    def _column_blocks(self, times):
-        """(request positions, state columns) blocks in ascending time order."""
+    @functools.cached_property
+    def _charging_frame(self) -> "_Frame":
+        return _Frame(self._charging, self._start, self._battery_block.matrix)
+
+    @functools.cached_property
+    def _after_frame(self) -> "_Frame":
+        """The after-``t_on`` phase, started from the sector state at ``t_on``."""
+        charging = self._charging_frame
+        psi_on = _lift(charging.basis,
+                       next(charging.blocks(np.array([self.protocol.t_on]))))
+        return _Frame(self._after, psi_on[:, 0], self._battery_block.matrix)
+
+    def _blocks(self, times):
+        """(request positions, frame, coordinate block) in ascending time order."""
         order = np.argsort(times, kind="stable")
         times = times[order]
         t_on = self.protocol.t_on
         split = times.size if t_on is None else int(
             np.searchsorted(times, t_on, side="right"))
-        blocks = [self._charging.columns(self._start, times[:split])]
+        phases = [(self._charging_frame, times[:split])]
         if split < times.size:
-            psi_on = next(self._charging.columns(self._start,
-                                                 np.array([t_on])))
-            blocks.append(self._after.columns(psi_on[:, 0],
-                                              times[split:] - t_on))
+            phases.append((self._after_frame, times[split:] - t_on))
         done = 0
-        for columns in itertools.chain(*blocks):
-            yield order[done:done + columns.shape[1]], columns
-            done += columns.shape[1]
+        for frame, offsets in phases:
+            for block in frame.blocks(offsets):
+                yield order[done:done + block.shape[1]], frame, block
+                done += block.shape[1]
 
     def battery_energy(self, times) -> np.ndarray:
-        """<H_B> at each requested time, reduced one column block at a time."""
+        """<H_B> at each requested time, reduced one block at a time."""
         times = self._checked_times(times)
         energies = np.empty(times.size)
         residues = np.empty(times.size)
-        for positions, block in self._column_blocks(times):
-            energies[positions], residues[positions] = _energy_parts(
-                self._battery_block.matrix, block)
+        for positions, frame, block in self._blocks(times):
+            energies[positions], residues[positions] = frame.energy_parts(block)
         if times.size:
             residue = np.abs(residues).max()
             if residue > 1e-10 * max(1.0, np.abs(energies).max()):
@@ -559,7 +649,8 @@ class ProtocolEvolution:
                 "state retention for this many times exceeds the in-memory "
                 "budget; sample energies instead")
         states = [None] * times.size
-        for positions, block in self._column_blocks(times):
+        for positions, frame, block in self._blocks(times):
+            block = _lift(frame.basis, block)
             if self._sector is not None:
                 full = np.zeros((self.initial_state.dimension, block.shape[1]),
                                 dtype=np.complex128)

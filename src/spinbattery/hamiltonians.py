@@ -19,6 +19,7 @@ explicitly enabled.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -190,6 +191,14 @@ def build(spec: HamiltonianSpec, num_qubits: int,
     return assemble(terms, num_qubits)
 
 
+@functools.lru_cache(maxsize=8)
+def _shared_build(spec: HamiltonianSpec, num_qubits: int,
+                  literal_ata_sum: bool = False) -> SparseOperator:
+    """``build``, memoized per process: a sweep builds its battery and charger
+    once.  Callers share the operator and must not modify it."""
+    return build(spec, num_qubits, literal_ata_sum)
+
+
 class ProtocolPhase(enum.Enum):
     BEFORE_CHARGING = "BeforeCharging"
     CHARGING = "Charging"
@@ -252,8 +261,8 @@ def protocol_hamiltonian(p: ProtocolSpec, phase: ProtocolPhase) -> SparseOperato
     """
     if not isinstance(phase, ProtocolPhase):
         raise ParameterError(f"expected ProtocolPhase, got {phase!r}")
-    battery = build(p.battery, p.num_qubits, p.literal_ata_sum)
+    battery = _shared_build(p.battery, p.num_qubits, p.literal_ata_sum)
     if phase is not ProtocolPhase.CHARGING:
         return battery
-    charger = build(p.charger, p.num_qubits, p.literal_ata_sum)
+    charger = _shared_build(p.charger, p.num_qubits, p.literal_ata_sum)
     return (1.0 - p.lam) * battery + charger

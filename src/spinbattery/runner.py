@@ -424,9 +424,12 @@ def _sweep_lines(records: list[SweepRecord]):
                         _fmt(r.p_max), _fmt(r.t_at_p_max)])
 
 
-def _is_boundary(record: SweepRecord, grid_end: float) -> bool:
-    return (record.t_at_e_max >= grid_end - 1e-12
-            or record.t_at_p_max >= grid_end - 1e-12)
+def _is_boundary(record: SweepRecord, grid_end: float, step: float) -> bool:
+    """Whether a maximum's grid sample lies within one step of the final
+    grid time.  Refinement moves a peak by less than a step from its grid
+    sample, so every such peak lies less than two steps from the end."""
+    edge = grid_end - 2.0 * step + 1e-9 * step
+    return max(record.t_at_e_max, record.t_at_p_max) > edge
 
 
 def run(config: ExperimentConfig, workers=None, echo=print) -> int:
@@ -448,7 +451,7 @@ def run(config: ExperimentConfig, workers=None, echo=print) -> int:
         "boundary_max": False,
         "errors": [],
     }
-    grid_end = float(config.grid.times()[-1])
+    grid_end, step = float(config.grid.times()[-1]), config.grid.step
     status = 0
 
     if config.sweep is None:
@@ -460,7 +463,7 @@ def run(config: ExperimentConfig, workers=None, echo=print) -> int:
         manifest["results"] = {
             "de_max": record.delta_e_max, "t_e": record.t_at_e_max,
             "p_max": record.p_max, "t_p": record.t_at_p_max}
-        manifest["boundary_max"] = _is_boundary(record, grid_end)
+        manifest["boundary_max"] = _is_boundary(record, grid_end, step)
     else:
         plan = config.sweep
         fits = {}
@@ -498,7 +501,7 @@ def run(config: ExperimentConfig, workers=None, echo=print) -> int:
             sweep_name = f"sweep{tag}.csv"
             _write_text(out_dir / sweep_name, _sweep_lines(records))
             manifest["outputs"].append(sweep_name)
-            if any(_is_boundary(r, grid_end) for r in records):
+            if any(_is_boundary(r, grid_end, step) for r in records):
                 manifest["boundary_max"] = True
             if plan.parameter == "J" and len(records) >= 3:
                 fit = fit_log10([r.parameter_value for r in records],
@@ -517,8 +520,8 @@ def run(config: ExperimentConfig, workers=None, echo=print) -> int:
                 [json.dumps(manifest, indent=2, sort_keys=True)])
 
     if manifest["boundary_max"]:
-        echo("warning: a reported maximum sits on the final grid time; "
-             "consider a longer grid", file=sys.stderr)
+        echo("warning: a reported maximum lies within one step of the final "
+             "grid time; consider a longer grid", file=sys.stderr)
     echo(f"{config.label}: wrote {len(manifest['outputs']) + 1} files to "
          f"{out_dir} in {manifest['wall_time_s']:.1f}s")
     return status

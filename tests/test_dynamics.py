@@ -27,8 +27,10 @@ from spinbattery import (
     propagate,
     spectrum,
 )
-from spinbattery.dynamics import DEGENERACY_TOL, _select_ground_representative
-from spinbattery.metrics import family_protocol_spec
+from spinbattery.dynamics import (DEGENERACY_TOL, _SUPPORT_DROP_WEIGHT,
+                                  _select_ground_representative, _support)
+from spinbattery.metrics import (TimeGrid, family_protocol_spec,
+                                 stored_energy_series)
 from spinbattery.oracle import xbasis_enumeration
 
 DENSE = PropagatorBackend.dense()
@@ -464,3 +466,35 @@ def test_dense_gate_bounds_the_sector_block(monkeypatch):
     assert energies[0] == pytest.approx(-6.0, abs=1e-9)
     with pytest.raises(CapacityError):
         spectrum(engine.h_charging)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_support_drops_at_most_the_allowed_weight(seed):
+    rng = np.random.default_rng(seed)
+    size = 300
+    magnitudes = 10.0 ** rng.uniform(-16, 0, size)
+    magnitudes[rng.choice(size, 20, replace=False)] = 0.0
+    coeffs = magnitudes * np.exp(2j * np.pi * rng.uniform(size=size))
+    kept = _support(coeffs)
+    weight = np.abs(coeffs) ** 2
+    assert weight[~kept].sum() <= _SUPPORT_DROP_WEIGHT
+    # dropping the lightest kept component as well would exceed the bound
+    assert weight[~kept].sum() + weight[kept].min() > _SUPPORT_DROP_WEIGHT
+
+
+def test_refinement_reuses_the_reduced_battery_matrix(monkeypatch):
+    matrices = []
+    sample = ProtocolEvolution.battery_energy
+
+    def recording(engine, times):
+        energies = sample(engine, times)
+        matrices.append((engine._charging_frame.energy_matrix,
+                         engine._after_frame.energy_matrix))
+        return energies
+
+    monkeypatch.setattr(ProtocolEvolution, "battery_energy", recording)
+    stored_energy_series(field_protocol(lam=0.5, num_qubits=8, t_on=3.0),
+                         TimeGrid(end=6.0), DENSE)
+    assert len(matrices) == 2  # the grid, then the refinement pass
+    assert matrices[0][0] is not None
+    assert all(now is then for now, then in zip(*matrices))

@@ -1,6 +1,7 @@
 """Series construction, maxima extraction, sweeps, and fits."""
 
 import os
+import sys
 
 import numpy as np
 import numpy.testing as npt
@@ -254,6 +255,23 @@ def test_threaded_sweep_matches_sequential(monkeypatch):
     monkeypatch.setenv("SPINBATTERY_WORKERS", "3")
     threaded = sweep(base, "lambda", lambdas, grid, DENSE)
     assert sequential == threaded
+
+
+def test_threads_sharing_cold_operators_match_sequential():
+    """More sweep threads than cores build and share one battery and one
+    charger on a cold cache, switching often, and still agree exactly."""
+    base = ProtocolSpec(HamiltonianSpec(Family.FIELD_Z, h=0.613),
+                        HamiltonianSpec(Family.ISING_ATA, J=0.877), lam=0.0,
+                        num_qubits=6)
+    lambdas = np.linspace(0.0, 1.0, 8)
+    grid = TimeGrid(end=5.0)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = sweep(base, "lambda", lambdas, grid, DENSE, workers=4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == sweep(base, "lambda", lambdas, grid, DENSE, workers=1)
 
 
 # ---------------------------------------------------------------------------

@@ -198,3 +198,72 @@ def test_mixed_parity_start_keeps_the_full_register(monkeypatch):
                 for ref in _oracle_states(protocol, start, times)]
     npt.assert_allclose(engine.battery_energy(times), expected, rtol=0,
                         atol=1e-10)
+
+
+def _support_protocol(battery, charger, lam, num_qubits):
+    return ProtocolSpec(family_protocol_spec(battery),
+                        family_protocol_spec(charger), lam=lam,
+                        num_qubits=num_qubits)
+
+
+def _assert_energies_match_oracle(engine, start, times):
+    dense = engine.h_battery.to_dense()
+    expected = [np.vdot(ref.amplitudes, dense @ ref.amplitudes).real
+                for ref in _oracle_states(engine.protocol, start, times)]
+    npt.assert_allclose(engine.battery_energy(times), expected, rtol=0,
+                        atol=1e-10)
+
+
+SUPPORT_TIMES = np.array([0.0, 0.37, 2.5, 40.0])
+
+
+@pytest.mark.parametrize("num_qubits", [8, 10])
+def test_symmetric_start_is_sampled_on_its_support(num_qubits):
+    """psi_0 occupies few charging eigenvectors; <H_B> is reduced there."""
+    engine = ProtocolEvolution(
+        _support_protocol(Family.FIELD_Z, Family.ISING_ATA, 0.5, num_qubits),
+        PropagatorBackend.dense())
+    if num_qubits <= 8:  # the oracle's own capacity
+        _assert_energies_match_oracle(engine, engine.initial_state,
+                                      SUPPORT_TIMES)
+    else:
+        engine.battery_energy(SUPPORT_TIMES)
+    frame = engine._charging_frame
+    sector_dim, kept = frame.basis.shape
+    assert sector_dim == 1 << (num_qubits - 1)
+    assert 4 * kept <= sector_dim
+    assert frame.energy_matrix.shape == (kept, kept)
+
+
+def test_light_start_component_is_kept(monkeypatch):
+    """A 1e-20-weight component outside psi_0's support is still sampled."""
+    protocol = _support_protocol(Family.FIELD_Z, Family.ISING_ATA, 0.5, 8)
+    engine = ProtocolEvolution(protocol, PropagatorBackend.dense())
+    engine.battery_energy([0.0])
+    kept = engine._charging_frame.basis.shape[1]
+    # the charging eigenvector psi_0 overlaps least, embedded in the register
+    vecs = spectrum(engine._charging.op, want_vectors=True).eigenvectors
+    outside = vecs[:, np.argmin(np.abs(vecs.T @ engine._start))]
+    light = np.zeros(1 << 8)
+    light[engine._sector] = outside
+    start = StateVector.normalized(
+        engine.initial_state.amplitudes + 1e-10 * light)
+    monkeypatch.setattr(
+        "spinbattery.dynamics._battery_ground",
+        lambda *args: (engine.h_battery, engine.ground_energy, start))
+    engine = ProtocolEvolution(protocol, PropagatorBackend.dense())
+    _assert_energies_match_oracle(engine, start, SUPPORT_TIMES)
+    basis = engine._charging_frame.basis
+    assert basis.shape[1] == kept + 1
+    assert np.abs(basis.T @ outside).max() == pytest.approx(1.0, abs=1e-9)
+
+
+def test_full_support_takes_the_full_space_route():
+    """With the battery switched off psi_0 spreads over every eigenvector."""
+    engine = ProtocolEvolution(
+        _support_protocol(Family.ISING_NN, Family.FIELD_Z, 1.0, 8),
+        PropagatorBackend.dense())
+    _assert_energies_match_oracle(engine, engine.initial_state, SUPPORT_TIMES)
+    frame = engine._charging_frame
+    assert frame.basis.shape == (1 << 7, 1 << 7)
+    assert frame.energy_matrix is None

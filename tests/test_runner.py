@@ -433,6 +433,17 @@ def test_boundary_maximum_is_flagged_not_fatal(tmp_path, capsys):
     assert manifest["boundary_max"] is True
 
 
+def test_peak_one_step_before_the_end_is_flagged(tmp_path, capsys):
+    # the grid maximum sits at 99.95 and refinement moves it to 99.94
+    doc = MINIMAL.replace("N = 4", "N = 10").replace(
+        "lambda = 1.0", "lambda = 0.25") + f"\n[output]\ndirectory = {tmp_path}\n"
+    assert run(parse_config(doc)) == 0
+    assert "within one step of the final grid time" in capsys.readouterr().err
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["results"]["t_e"] == pytest.approx(99.94)
+    assert manifest["boundary_max"] is True
+
+
 def test_multi_family_sweep_writes_tagged_files(tmp_path):
     doc = SMALL_SWEEP.replace("series = true", "series = false") + \
         "\nfamilies = IsingNN, XYNN\n"
