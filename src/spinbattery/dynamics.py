@@ -1,24 +1,25 @@
 """State preparation, time evolution, and expectation values.
 
-One per-phase sampler does all propagation: for one constant generator H
-and one start vector it yields ``exp(-i H t) psi`` at ascending offsets t
-in bounded blocks of coordinates, with the basis that maps them to state
-columns, and it is the only code that depends on the backend.
-``DenseEigen`` diagonalizes H once per phase and forms
+One sampling object, ``_Frame``, does all propagation: built from one
+constant generator H and one start vector psi, it yields ``exp(-i H t) psi``
+at ascending offsets t in bounded blocks of coordinates, maps a block to
+state columns, and reads <H_B> off it; it is the only code that depends on
+the backend.  ``DenseEigen`` diagonalizes H once per frame and forms
 ``V (c * exp(-i E t))`` with c = V^dag psi (capacity-gated at dimension
 2^13); ``KrylovLanczos`` walks the offsets in a small Krylov subspace with
 adaptive step halving and never needs the full spectrum.  ``propagate``
-samples one time; ``ProtocolEvolution`` splits sorted times at ``t_on``,
-hands each side to its phase, and reads the blocks in ``battery_energy``
-and ``states``; ``metrics.stored_energy_series`` samples whole series.
+samples one time; ``ProtocolEvolution`` builds one frame per phase on first
+use, splits sorted times at ``t_on`` and reads the blocks in
+``battery_energy`` and ``states``; ``metrics.stored_energy_series`` samples
+whole series.
 
-A symmetric psi has weight on few eigenvectors of H, so the dense phase
+A symmetric psi has weight on few eigenvectors of H, so a dense frame
 keeps only those: it drops the lightest components of c while their summed
 weight stays within 1e-24, which moves every state by at most 1e-12 in
 norm and <H_B> by at most 2 ||H_B|| 1e-12.  When the m kept eigenvectors
-V_k are at most half of the phase dimension d, ``battery_energy`` reduces
-the coordinates c_k * exp(-i E_k t) with the m x m matrix
-B = V_k^dag H_B V_k, formed once per phase, so a sample costs O(m^2)
+V_k are at most half of the phase dimension d, the frame reduces the
+coordinates c_k * exp(-i E_k t) with the m x m matrix
+B = V_k^dag H_B V_k, formed once per frame, so a sample costs O(m^2)
 instead of O(d^2); otherwise, and always for Krylov, the states themselves
 are reduced with the sparse H_B.
 
@@ -365,33 +366,6 @@ def _support(coeffs) -> np.ndarray:
     return kept
 
 
-def _spectral_frame(data: SpectralData, start):
-    """``(basis, blocks)`` of ``exp(-i H t) start`` from H's eigensystem.
-
-    With H = V diag(E) V^dag and c = V^dag start, the state at t is
-    V (c * exp(-i E t)).  ``blocks(offsets)`` yields the coordinate blocks
-    c_k * exp(-i E_k t) of the kept eigenvectors (``_support``), in
-    ascending eigenvalue order; ``basis`` is those columns V_k when they are
-    at most half of V.  Otherwise ``basis`` is V and the dropped
-    coordinates are zero.  Only one block is alive at a time.
-    """
-    vecs, vals = data.eigenvectors, data.eigenvalues
-    chunk = max(1, _CHUNK_ELEMENTS // start.size)
-    coeffs = _apply(vecs.T, start.conj()).conj()  # V^dag start
-    kept = _support(coeffs)
-    if 2 * np.count_nonzero(kept) <= kept.size:
-        vecs, vals, coeffs = vecs[:, kept], vals[kept], coeffs[kept]
-    else:
-        coeffs[~kept] = 0.0
-
-    def blocks(offsets):
-        for lo in range(0, offsets.size, chunk):
-            yield coeffs[:, None] * np.exp(
-                np.outer(vals, -1j * offsets[lo:lo + chunk]))
-
-    return vecs, blocks
-
-
 def _energy_parts(matrix, columns):
     """Real part and imaginary residue of <psi|H|psi> for each column.
 
@@ -464,43 +438,64 @@ def _krylov_expm_apply(matrix, amplitudes, t, krylov_dim, tolerance):
     return state
 
 
-class _Phase:
-    """One constant generator H, sampled as ``exp(-i H t) start``.
+class _Frame:
+    """``exp(-i H t) start`` for one constant generator H, and <H_B> on it.
 
-    ``DenseEigen`` diagonalizes H on first use and reuses it for every start;
-    ``KrylovLanczos`` walks the offsets in order, one column at a time.
+    A dense frame diagonalizes H and keeps the eigenvectors the start
+    occupies (``_support``): its blocks are the coordinates
+    c_k exp(-i E_k t), and ``basis`` is V_k when they are at most half of V,
+    otherwise V with the dropped coordinates zero.  A Krylov frame keeps no
+    basis, and its blocks are state columns.  One block is alive at a time.
     """
 
-    def __init__(self, op: SparseOperator, backend: PropagatorBackend):
-        self.op = op
-        self.backend = backend
-        self._spectral: SpectralData | None = None
-
-    def frame(self, start):
-        """``(basis, blocks)``: ``blocks(offsets)`` yields coordinate blocks
-        at the ascending ``offsets``, and the state columns are
-        ``basis @ block``, or the block itself when ``basis`` is None."""
-        backend = self.backend
+    def __init__(self, op: SparseOperator, start, backend: PropagatorBackend,
+                 h_battery=None):
+        self._op, self._start, self._backend = op, start, backend
+        self._h_battery = h_battery
+        self.basis, self._reduced = None, False
         if backend.kind is BackendKind.DENSE_EIGEN:
-            if self._spectral is None:
-                self._spectral = spectrum(self.op, want_vectors=True)
-            return _spectral_frame(self._spectral, start)
+            data = spectrum(op, want_vectors=True)
+            vecs, vals = data.eigenvectors, data.eigenvalues
+            coeffs = _apply(vecs.T, start.conj()).conj()  # V^dag start
+            kept = _support(coeffs)
+            self._reduced = 2 * np.count_nonzero(kept) <= kept.size
+            if self._reduced:
+                vecs, vals, coeffs = vecs[:, kept], vals[kept], coeffs[kept]
+            else:
+                coeffs[~kept] = 0.0
+            self.basis, self._vals, self._coeffs = vecs, vals, coeffs
 
-        def walk(offsets):
-            state, now = start, 0.0
-            for t in offsets:
-                state = _krylov_expm_apply(self.op.matrix, state, t - now,
-                                           backend.krylov_dim,
-                                           backend.tolerance)
-                now = t
-                yield state[:, None]
+    def blocks(self, offsets):
+        """Coordinate blocks of the states at the ascending ``offsets``."""
+        if self.basis is not None:
+            chunk = max(1, _CHUNK_ELEMENTS // self._start.size)
+            for lo in range(0, offsets.size, chunk):
+                yield self._coeffs[:, None] * np.exp(
+                    np.outer(self._vals, -1j * offsets[lo:lo + chunk]))
+            return
+        backend, state, now = self._backend, self._start, 0.0
+        for t in offsets:
+            state = _krylov_expm_apply(self._op.matrix, state, t - now,
+                                       backend.krylov_dim, backend.tolerance)
+            now = t
+            yield state[:, None]
 
-        return None, walk
+    def columns(self, block):
+        """State columns of one coordinate block."""
+        return block if self.basis is None else _apply(self.basis, block)
 
+    @functools.cached_property
+    def energy_matrix(self):
+        """B in the kept eigenbasis, or None when the states are reduced."""
+        if not self._reduced:
+            return None
+        return self.basis.conj().T @ _apply(self._h_battery, self.basis)
 
-def _lift(basis, block):
-    """State columns of a coordinate block (see ``_Phase.frame``)."""
-    return block if basis is None else _apply(basis, block)
+    def energy_parts(self, block):
+        """``_energy_parts`` of H_B on the states of one coordinate block."""
+        if self.energy_matrix is None:
+            return _energy_parts(self._h_battery, self.columns(block))
+        return _energy_parts(self.energy_matrix, block)
 
 
 def propagate(op: SparseOperator, state: StateVector, t: float,
@@ -512,8 +507,8 @@ def propagate(op: SparseOperator, state: StateVector, t: float,
     t = float(t)
     if not np.isfinite(t):
         raise ParameterError(f"time must be finite, got {t}")
-    basis, blocks = _Phase(op, backend).frame(state.amplitudes)
-    amps = _lift(basis, next(blocks(np.array([t]))))[:, 0]
+    frame = _Frame(op, state.amplitudes, backend)
+    amps = frame.columns(next(frame.blocks(np.array([t]))))[:, 0]
     norm = float(np.linalg.norm(amps))
     if abs(norm - 1.0) > NORM_TOL:
         raise NumericalError(
@@ -534,34 +529,6 @@ def _battery_ground(battery, num_qubits: int, literal_ata_sum: bool):
     """
     h_battery = _shared_build(battery, num_qubits, literal_ata_sum)
     return (h_battery, *ground_state(h_battery))
-
-
-class _Frame:
-    """One phase from one start, and how <H_B> is read off its blocks.
-
-    When the dense phase keeps at most half of its eigenvectors, <H_B> is
-    reduced on the coordinates with B = V_k^dag H_B V_k, formed once on
-    first use; otherwise, and always for Krylov, the blocks are lifted to
-    state columns and reduced with the sparse H_B.
-    """
-
-    def __init__(self, phase: _Phase, start, h_battery):
-        self.basis, self.blocks = phase.frame(start)
-        self._h_battery = h_battery
-
-    @functools.cached_property
-    def energy_matrix(self):
-        """B in the kept eigenbasis, or None when the blocks are lifted."""
-        basis = self.basis
-        if basis is None or 2 * basis.shape[1] > basis.shape[0]:
-            return None
-        return basis.conj().T @ _apply(self._h_battery, basis)
-
-    def energy_parts(self, block):
-        """``_energy_parts`` of H_B on the states of one coordinate block."""
-        if self.energy_matrix is None:
-            return _energy_parts(self._h_battery, _lift(self.basis, block))
-        return _energy_parts(self.energy_matrix, block)
 
 
 class ProtocolEvolution:
@@ -587,9 +554,7 @@ class ProtocolEvolution:
         psi0 = self.initial_state.amplitudes
         self._start = psi0 if self._sector is None else psi0[self._sector]
         self._battery_block = _sector_block(self.h_battery, self._sector)
-        self._charging = _Phase(_sector_block(self.h_charging, self._sector),
-                                backend)
-        self._after = _Phase(self._battery_block, backend)
+        self._charging_block = _sector_block(self.h_charging, self._sector)
 
     def _checked_times(self, times) -> np.ndarray:
         times = np.asarray(times, dtype=np.float64)
@@ -601,15 +566,17 @@ class ProtocolEvolution:
 
     @functools.cached_property
     def _charging_frame(self) -> "_Frame":
-        return _Frame(self._charging, self._start, self._battery_block.matrix)
+        return _Frame(self._charging_block, self._start, self.backend,
+                      self._battery_block.matrix)
 
     @functools.cached_property
     def _after_frame(self) -> "_Frame":
         """The after-``t_on`` phase, started from the sector state at ``t_on``."""
         charging = self._charging_frame
-        psi_on = _lift(charging.basis,
-                       next(charging.blocks(np.array([self.protocol.t_on]))))
-        return _Frame(self._after, psi_on[:, 0], self._battery_block.matrix)
+        psi_on = charging.columns(
+            next(charging.blocks(np.array([self.protocol.t_on]))))
+        return _Frame(self._battery_block, psi_on[:, 0], self.backend,
+                      self._battery_block.matrix)
 
     def _blocks(self, times):
         """(request positions, frame, coordinate block) in ascending time order."""
@@ -650,7 +617,7 @@ class ProtocolEvolution:
                 "budget; sample energies instead")
         states = [None] * times.size
         for positions, frame, block in self._blocks(times):
-            block = _lift(frame.basis, block)
+            block = frame.columns(block)
             if self._sector is not None:
                 full = np.zeros((self.initial_state.dimension, block.shape[1]),
                                 dtype=np.complex128)

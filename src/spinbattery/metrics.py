@@ -33,16 +33,12 @@ class TimeGrid:
     end: float = 100.0
     step: float = 0.05
     refinement_factor: int = 10
-    start: float = 0.0
 
     def __post_init__(self):
-        if float(self.start) != 0.0:
-            raise ParameterError("charging protocols are sampled from t = 0")
-        object.__setattr__(self, "start", 0.0)
         end = float(self.end)
         step = float(self.step)
-        if not end > self.start:
-            raise ParameterError(f"grid end must exceed start, got {end}")
+        if not end > 0.0:
+            raise ParameterError(f"grid end must exceed 0, got {end}")
         if not step > 0.0:
             raise ParameterError(f"grid step must be positive, got {step}")
         factor = int(self.refinement_factor)
@@ -54,8 +50,8 @@ class TimeGrid:
         object.__setattr__(self, "refinement_factor", factor)
 
     def times(self) -> np.ndarray:
-        count = int(np.floor((self.end - self.start) / self.step + 1e-9))
-        return self.start + self.step * np.arange(count + 1)
+        count = int(np.floor(self.end / self.step + 1e-9))
+        return self.step * np.arange(count + 1)
 
 
 @dataclass

@@ -4,7 +4,8 @@ A run is described by a flat INI document (sections ``[battery]``,
 ``[charger]``, ``[protocol]``, ``[grid]``, ``[backend]``, ``[sweep]``,
 ``[output]``) or by one of the bundled figure presets.  Results are emitted
 as CSV files plus a JSON manifest; floats are printed with 12 significant
-digits so repeated runs of the same config diff byte-identically.
+digits, to which repeated runs of one config agree (not always to the byte:
+ARPACK's ground vector of a large battery varies in its last bits).
 """
 
 from __future__ import annotations
@@ -79,7 +80,8 @@ class ExperimentConfig:
             "t_on": self.protocol.t_on,
             "extended_lambda": self.protocol.extended_lambda,
             "literal_ata_sum": self.protocol.literal_ata_sum,
-            "grid": {"start": self.grid.start, "end": self.grid.end,
+            # every window starts at 0; the key keeps old hashes valid
+            "grid": {"start": 0.0, "end": self.grid.end,
                      "step": self.grid.step,
                      "refinement_factor": self.grid.refinement_factor},
             "backend": {"kind": self.backend.kind.value,
@@ -253,6 +255,10 @@ def parse_config(text: str, label: str = "config") -> ExperimentConfig:
         values = sweep_section.take("values", _parse_float_list,
                                     required=True)
         families = sweep_section.take("families", _parse_family_list)
+        if families is not None and charger.K is not None:
+            raise ParameterError(
+                "charger.K cannot be combined with sweep.families: every "
+                "swept charger takes its own maximal range")
         emit_series = sweep_section.take("series", _parse_bool, default=False)
         sweep_section.reject_leftovers()
         if parameter == "N":

@@ -445,6 +445,9 @@ def test_protocol_runs_in_half_the_register(monkeypatch):
     monkeypatch.setattr("spinbattery.dynamics.spectrum", recording)
     for engine in engines:
         engine.battery_energy([0.0, 0.5, 2.0])  # both phases diagonalize
+        # later calls reuse both phases' eigensystems
+        engine.states([0.0, 2.0])
+        engine.battery_energy([0.25, 1.5])
     assert dims == [1 << 5] * 50
 
 

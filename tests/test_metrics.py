@@ -54,7 +54,7 @@ def test_grid_validation():
         TimeGrid(end=1.0, step=-0.1)
     with pytest.raises(ParameterError):
         TimeGrid(end=1.0, refinement_factor=0)
-    with pytest.raises(ParameterError):
+    with pytest.raises(TypeError):  # every protocol is sampled from t = 0
         TimeGrid(end=1.0, start=0.5)
 
 

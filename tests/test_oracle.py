@@ -242,7 +242,7 @@ def test_light_start_component_is_kept(monkeypatch):
     engine.battery_energy([0.0])
     kept = engine._charging_frame.basis.shape[1]
     # the charging eigenvector psi_0 overlaps least, embedded in the register
-    vecs = spectrum(engine._charging.op, want_vectors=True).eigenvectors
+    vecs = spectrum(engine._charging_block, want_vectors=True).eigenvectors
     outside = vecs[:, np.argmin(np.abs(vecs.T @ engine._start))]
     light = np.zeros(1 << 8)
     light[engine._sector] = outside

@@ -236,6 +236,11 @@ def test_sweep_block_validation():
                      "values = 0.0, 3.0\n")
     with pytest.raises(ParameterError, match="sweep.values"):
         parse_config(MINIMAL + "\n[sweep]\nparameter = lambda\nvalues = ,\n")
+    ranged = SMALL_SWEEP.replace("IsingATA", "IsingATA\nK = 1")
+    assert parse_config(ranged).protocol.charger.K == 1
+    # every swept family derives its own range, so K would be dropped unseen
+    with pytest.raises(ParameterError, match="charger.K"):
+        parse_config(ranged + "families = IsingATA, XYATA\n")
 
 
 def test_preset_reference_resolves_to_binding():
