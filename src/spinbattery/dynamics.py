@@ -1,27 +1,24 @@
 """State preparation, time evolution, and expectation values.
 
-One sampling object, ``_Frame``, does all propagation: built from one
-constant generator H and one start vector psi, it yields ``exp(-i H t) psi``
-at ascending offsets t in bounded blocks of coordinates, maps a block to
-state columns, and reads <H_B> off it; it is the only code that depends on
-the backend.  ``DenseEigen`` diagonalizes H once per frame and forms
-``V (c * exp(-i E t))`` with c = V^dag psi (capacity-gated at dimension
-2^13); ``KrylovLanczos`` walks the offsets in a small Krylov subspace with
-adaptive step halving and never needs the full spectrum.  ``propagate``
-samples one time; ``ProtocolEvolution`` builds one frame per phase on first
-use, splits sorted times at ``t_on`` and reads the blocks in
-``battery_energy`` and ``states``; ``metrics.stored_energy_series`` samples
+One sampling object, ``_Frame``, does all propagation.  For one constant
+generator H and start vector psi it holds a basis V, energies E and
+coordinates c with exp(-i H t) psi = V (c * exp(-i E t)): the eigensystem
+of H for ``DenseEigen`` (capacity-gated at dimension 2^13), the Ritz
+vectors, Ritz values and start coordinates of one Lanczos run for
+``KrylovLanczos``, which serves every offset within the run's error
+estimate and starts the next run from the last state reached.  Its
+constructor is the only code that depends on the backend.  ``propagate``
+samples one time; ``ProtocolEvolution`` keeps one frame per phase and
+splits sorted times at ``t_on``; ``metrics.stored_energy_series`` samples
 whole series.
 
-A symmetric psi has weight on few eigenvectors of H, so a dense frame
-keeps only those: it drops the lightest components of c while their summed
-weight stays within 1e-24, which moves every state by at most 1e-12 in
-norm and <H_B> by at most 2 ||H_B|| 1e-12.  When the m kept eigenvectors
-V_k are at most half of the phase dimension d, the frame reduces the
-coordinates c_k * exp(-i E_k t) with the m x m matrix
-B = V_k^dag H_B V_k, formed once per frame, so a sample costs O(m^2)
-instead of O(d^2); otherwise, and always for Krylov, the states themselves
-are reduced with the sparse H_B.
+A frame keeps only the components psi occupies: it drops the lightest of
+c while their summed weight stays within 1e-24, which moves every state
+by at most 1e-12 in norm and <H_B> by at most 2 ||H_B|| 1e-12.  When the
+m kept columns V_k are at most half of the dimension d, the coordinates
+are reduced with the m x m matrix B = V_k^dag H_B V_k, formed once per
+frame, so a sample costs O(m^2); otherwise the states themselves are
+reduced with the sparse H_B.
 
 Every family conserves the spin-flip parity P = prod sigma^z, and psi_0
 has a definite P, so ``ProtocolEvolution`` runs both phases and <H_B> on
@@ -285,7 +282,7 @@ def ground_state(op: SparseOperator) -> tuple[float, StateVector]:
 
 
 def _ground_cluster_arpack(op: SparseOperator, num: int = 8):
-    """Lowest eigenpairs via ARPACK with a fixed start vector.
+    """Lowest eigenpairs via ARPACK with a fixed start and restart seed.
 
     Returns None when the requested count may not contain the whole
     degenerate cluster (the caller then falls back to a dense solve).  One
@@ -299,7 +296,7 @@ def _ground_cluster_arpack(op: SparseOperator, num: int = 8):
     v0 = np.full(dim, 1.0 / np.sqrt(dim), dtype=op.matrix.dtype)
     try:
         vals, vecs = spla.eigsh(op.matrix, k=min(num, dim - 1), which="SA",
-                                v0=v0)
+                                v0=v0, rng=0)
     except spla.ArpackError:
         return None
     order = np.argsort(vals, kind="stable")
@@ -351,7 +348,7 @@ def _apply(matrix, vectors):
 
 
 def _support(coeffs) -> np.ndarray:
-    """Mask of the eigencomponents of ``coeffs`` a dense phase keeps.
+    """Mask of the components of ``coeffs`` a frame keeps.
 
     The lightest components are dropped while their summed weight stays
     within ``_SUPPORT_DROP_WEIGHT``, so every sampled state moves by at most
@@ -378,19 +375,21 @@ def _energy_parts(matrix, columns):
             np.einsum("ij,ij->j", a, q) - np.einsum("ij,ij->j", b, p))
 
 
-def _lanczos_step(matrix, vec, dt, krylov_dim):
-    """One Krylov approximation of exp(-i dt H) vec.
+def _lanczos(matrix, start, krylov_dim):
+    """Ritz data of one Lanczos run of ``matrix`` from ``start``.
 
-    Returns (result, error_estimate).  A breakdown of the recurrence means
-    the Krylov space closed on an invariant subspace, where the small-matrix
-    exponential is exact.
+    Returns the Ritz vectors V (columns) and values theta, the start
+    coordinates c = ||start|| W[0, :] and the error row r = beta_m W[m-1, :]
+    (W: eigenvectors of the tridiagonal matrix), so that
+    exp(-i H t) start ~ V (c exp(-i theta t)) within |r . (c exp(-i theta t))|.
+    After a breakdown the space is invariant, the data exact and r zero.
     """
-    dim = vec.size
-    max_dim = min(krylov_dim, dim)
-    basis = np.empty((max_dim, dim), dtype=np.complex128)
+    norm = np.linalg.norm(start)
+    max_dim = min(krylov_dim, start.size)
+    basis = np.empty((max_dim, start.size), dtype=np.complex128)
     alphas = np.empty(max_dim)
     betas = np.empty(max_dim)
-    basis[0] = vec
+    basis[0] = start / norm
     for j in range(max_dim):
         w = _apply(matrix, basis[j])
         alphas[j] = np.vdot(basis[j], w).real
@@ -401,92 +400,95 @@ def _lanczos_step(matrix, vec, dt, krylov_dim):
         w -= basis[: j + 1].T @ (basis[: j + 1].conj() @ w)
         betas[j] = np.linalg.norm(w)
         if betas[j] < _BREAKDOWN_TOL or j == max_dim - 1:
-            size = j + 1
-            tri = np.diag(alphas[:size]) + np.diag(betas[: size - 1], 1) \
-                + np.diag(betas[: size - 1], -1)
-            small = sla.expm(-1j * dt * tri)[:, 0]
-            result = small @ basis[:size]
-            if betas[j] < _BREAKDOWN_TOL:
-                return result, 0.0
-            return result, float(betas[j] * abs(small[-1]))
+            break
         basis[j + 1] = w / betas[j]
-    raise AssertionError("unreachable")
-
-
-def _krylov_expm_apply(matrix, amplitudes, t, krylov_dim, tolerance):
-    """exp(-i t H) amplitudes with adaptive substepping of t."""
-    state = np.asarray(amplitudes, dtype=np.complex128)
-    elapsed = 0.0
-    dt = t
-    min_step = abs(t) * 2.0 ** -40
-    while elapsed != t:
-        remaining = t - elapsed
-        step = remaining if abs(dt) >= abs(remaining) else dt
-        candidate, err = _lanczos_step(matrix, state, step, krylov_dim)
-        if err <= tolerance:
-            state = candidate
-            elapsed = t - (remaining - step)
-            if err < 0.01 * tolerance and abs(dt) < abs(t):
-                dt *= 2.0
-        else:
-            dt = step / 2.0
-            if abs(dt) < min_step:
-                raise NumericalError(
-                    "Krylov propagation failed to reach the step tolerance "
-                    f"{tolerance} (residual estimate {err:.3e}); retry with a "
-                    "larger krylov_dim")
-    return state
+    vals, small = sla.eigh_tridiagonal(alphas[:j + 1], betas[:j])
+    beta = 0.0 if betas[j] < _BREAKDOWN_TOL else betas[j]
+    return basis[:j + 1].T @ small, vals, norm * small[0], beta * small[-1]
 
 
 class _Frame:
-    """``exp(-i H t) start`` for one constant generator H, and <H_B> on it.
+    """``exp(-i H t) start`` as V (c exp(-i E t)), and <H_B> on it.
 
-    A dense frame diagonalizes H and keeps the eigenvectors the start
-    occupies (``_support``): its blocks are the coordinates
-    c_k exp(-i E_k t), and ``basis`` is V_k when they are at most half of V,
-    otherwise V with the dropped coordinates zero.  A Krylov frame keeps no
-    basis, and its blocks are state columns.  One block is alive at a time.
+    (V, E, c) is H's eigensystem for a dense frame and one Lanczos run's
+    Ritz data for a Krylov frame.  ``basis`` keeps the columns the start
+    occupies (``_support``) when they are at most half of the register,
+    otherwise all of them with the dropped coordinates zero.  One
+    coordinate block is alive at a time.
     """
 
     def __init__(self, op: SparseOperator, start, backend: PropagatorBackend,
                  h_battery=None):
-        self._op, self._start, self._backend = op, start, backend
-        self._h_battery = h_battery
-        self.basis, self._reduced = None, False
+        self._op, self._backend, self._h_battery = op, backend, h_battery
         if backend.kind is BackendKind.DENSE_EIGEN:
             data = spectrum(op, want_vectors=True)
             vecs, vals = data.eigenvectors, data.eigenvalues
             coeffs = _apply(vecs.T, start.conj()).conj()  # V^dag start
-            kept = _support(coeffs)
-            self._reduced = 2 * np.count_nonzero(kept) <= kept.size
-            if self._reduced:
-                vecs, vals, coeffs = vecs[:, kept], vals[kept], coeffs[kept]
-            else:
-                coeffs[~kept] = 0.0
-            self.basis, self._vals, self._coeffs = vecs, vals, coeffs
+            error_row = np.zeros(vals.size)
+        else:
+            vecs, vals, coeffs, error_row = _lanczos(op.matrix, start,
+                                                     backend.krylov_dim)
+        kept = _support(coeffs)
+        self._reduced = 2 * np.count_nonzero(kept) <= vecs.shape[0]
+        if self._reduced:
+            vecs, vals = vecs[:, kept], vals[kept]
+            coeffs, error_row = coeffs[kept], error_row[kept]
+        else:
+            coeffs[~kept] = 0.0
+        self.basis, self._vals, self._coeffs = vecs, vals, coeffs
+        self._error_row = error_row
+
+    def _coordinates(self, offsets):
+        return self._coeffs[:, None] * np.exp(
+            np.outer(self._vals, -1j * offsets))
+
+    def _reach(self, offsets) -> int:
+        """How many leading ``offsets`` the error estimate admits."""
+        if not self._error_row.any():  # dense, or a closed Krylov space
+            return offsets.size
+        errors = np.abs(self._error_row @ self._coordinates(offsets))
+        return int(np.logical_and.accumulate(
+            errors <= self._backend.tolerance).sum())
 
     def blocks(self, offsets):
-        """Coordinate blocks of the states at the ascending ``offsets``."""
-        if self.basis is not None:
-            chunk = max(1, _CHUNK_ELEMENTS // self._start.size)
-            for lo in range(0, offsets.size, chunk):
-                yield self._coeffs[:, None] * np.exp(
-                    np.outer(self._vals, -1j * offsets[lo:lo + chunk]))
-            return
-        backend, state, now = self._backend, self._start, 0.0
-        for t in offsets:
-            state = _krylov_expm_apply(self._op.matrix, state, t - now,
-                                       backend.krylov_dim, backend.tolerance)
-            now = t
-            yield state[:, None]
+        """``(frame, coordinate block)`` pairs for the ascending ``offsets``.
+
+        A frame serves the longest prefix of offsets it admits, then hands
+        over to a frame started from the last state reached; when it admits
+        none, from the longest admitted run of steps gap * 2^-k, k = 40..1.
+        """
+        chunk = max(1, _CHUNK_ELEMENTS // self.basis.shape[0])
+        frame, origin = self, 0.0
+        while True:
+            count = frame._reach(offsets - origin)
+            for lo in range(0, count, chunk):
+                yield frame, frame._coordinates(
+                    offsets[lo:min(lo + chunk, count)] - origin)
+            if count == offsets.size:
+                return
+            gaps = (offsets[0] - origin) * 2.0 ** -np.arange(40, 0, -1)
+            reached = offsets[:count] if count else (
+                origin + gaps[:frame._reach(gaps)])
+            if not reached.size:
+                raise NumericalError(
+                    "Krylov propagation failed to reach the step tolerance "
+                    f"{self._backend.tolerance}; retry with a larger krylov_dim")
+            frame = _Frame(self._op, frame.state_at(reached[-1] - origin),
+                           self._backend, self._h_battery)
+            origin, offsets = reached[-1], offsets[count:]
+
+    def state_at(self, offset):
+        """The state at one ``offset``."""
+        (frame, block), = self.blocks(np.array([offset]))
+        return frame.columns(block)[:, 0]
 
     def columns(self, block):
         """State columns of one coordinate block."""
-        return block if self.basis is None else _apply(self.basis, block)
+        return _apply(self.basis, block)
 
     @functools.cached_property
     def energy_matrix(self):
-        """B in the kept eigenbasis, or None when the states are reduced."""
+        """B in the kept basis, or None when the states are reduced."""
         if not self._reduced:
             return None
         return self.basis.conj().T @ _apply(self._h_battery, self.basis)
@@ -507,8 +509,7 @@ def propagate(op: SparseOperator, state: StateVector, t: float,
     t = float(t)
     if not np.isfinite(t):
         raise ParameterError(f"time must be finite, got {t}")
-    frame = _Frame(op, state.amplitudes, backend)
-    amps = frame.columns(next(frame.blocks(np.array([t]))))[:, 0]
+    amps = _Frame(op, state.amplitudes, backend).state_at(t)
     norm = float(np.linalg.norm(amps))
     if abs(norm - 1.0) > NORM_TOL:
         raise NumericalError(
@@ -572,10 +573,8 @@ class ProtocolEvolution:
     @functools.cached_property
     def _after_frame(self) -> "_Frame":
         """The after-``t_on`` phase, started from the sector state at ``t_on``."""
-        charging = self._charging_frame
-        psi_on = charging.columns(
-            next(charging.blocks(np.array([self.protocol.t_on]))))
-        return _Frame(self._battery_block, psi_on[:, 0], self.backend,
+        psi_on = self._charging_frame.state_at(self.protocol.t_on)
+        return _Frame(self._battery_block, psi_on, self.backend,
                       self._battery_block.matrix)
 
     def _blocks(self, times):
@@ -590,8 +589,8 @@ class ProtocolEvolution:
             phases.append((self._after_frame, times[split:] - t_on))
         done = 0
         for frame, offsets in phases:
-            for block in frame.blocks(offsets):
-                yield order[done:done + block.shape[1]], frame, block
+            for owner, block in frame.blocks(offsets):
+                yield order[done:done + block.shape[1]], owner, block
                 done += block.shape[1]
 
     def battery_energy(self, times) -> np.ndarray:

@@ -4,8 +4,7 @@ A run is described by a flat INI document (sections ``[battery]``,
 ``[charger]``, ``[protocol]``, ``[grid]``, ``[backend]``, ``[sweep]``,
 ``[output]``) or by one of the bundled figure presets.  Results are emitted
 as CSV files plus a JSON manifest; floats are printed with 12 significant
-digits, to which repeated runs of one config agree (not always to the byte:
-ARPACK's ground vector of a large battery varies in its last bits).
+digits, and repeated runs of one config write byte-identical files.
 """
 
 from __future__ import annotations

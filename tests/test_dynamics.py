@@ -11,6 +11,7 @@ from spinbattery import (
     CapacityError,
     Family,
     HamiltonianSpec,
+    NumericalError,
     ParameterError,
     PauliAxis,
     PauliTerm,
@@ -27,6 +28,7 @@ from spinbattery import (
     propagate,
     spectrum,
 )
+from spinbattery import dynamics
 from spinbattery.dynamics import (DEGENERACY_TOL, _SUPPORT_DROP_WEIGHT,
                                   _select_ground_representative, _support)
 from spinbattery.metrics import (TimeGrid, family_protocol_spec,
@@ -165,6 +167,17 @@ def test_degenerate_selection_is_reproducible():
     _, first = ground_state(op)
     _, second = ground_state(op)
     npt.assert_array_equal(first.amplitudes, second.amplitudes)
+
+
+def test_arpack_ground_state_is_bit_reproducible():
+    # these few-level batteries close ARPACK's Krylov space early, and its
+    # random restart vector must come from a seeded generator
+    for spec, num_qubits in ((HamiltonianSpec(Family.FIELD_Z, h=1.0), 10),
+                             (HamiltonianSpec(Family.ISING_NN, J=1.0), 12)):
+        op = build(spec, num_qubits)
+        _, first = ground_state(op)
+        _, second = ground_state(op)
+        assert first.amplitudes.tobytes() == second.amplitudes.tobytes()
 
 
 def test_iterative_path_agrees_with_dense_selection():
@@ -306,6 +319,13 @@ def test_small_krylov_dimension_still_converges():
     assert 1.0 - abs(dense.overlap(small)) < 1e-8
 
 
+def test_unreachable_krylov_tolerance_raises():
+    op = build(HamiltonianSpec(Family.ISING_ATA, J=1.0), 5)
+    tight = PropagatorBackend.krylov(krylov_dim=2, tolerance=1e-300)
+    with pytest.raises(NumericalError, match="larger krylov_dim"):
+        propagate(op, StateVector.basis_state(5, 31), 1.0, tight)
+
+
 def test_backend_validation():
     with pytest.raises(ParameterError):
         PropagatorBackend.krylov(krylov_dim=1)
@@ -371,11 +391,36 @@ def test_always_on_matches_large_t_on():
 
 
 def test_protocol_backends_agree():
-    p = field_protocol(Family.XY_ATA, lam=0.7, num_qubits=6)
-    times = np.linspace(0, 10, 41)
-    dense = ProtocolEvolution(p, DENSE).battery_energy(times)
-    krylov = ProtocolEvolution(p, KRYLOV).battery_energy(times)
-    npt.assert_allclose(krylov, dense, atol=2e-8)
+    for protocol, times, atol in (
+            (field_protocol(Family.XY_ATA, lam=0.7, num_qubits=6),
+             np.linspace(0, 10, 41), 2e-8),
+            # each Lanczos run serves many grid times here
+            (field_protocol(Family.ISING_ATA, lam=1.0, num_qubits=10),
+             TimeGrid().times(), 1e-9)):
+        dense = ProtocolEvolution(protocol, DENSE).battery_energy(times)
+        krylov = ProtocolEvolution(protocol, KRYLOV).battery_energy(times)
+        npt.assert_allclose(krylov, dense, atol=atol)
+
+
+def test_one_lanczos_run_serves_many_times(monkeypatch):
+    runs = []
+    lanczos = dynamics._lanczos
+    monkeypatch.setattr(dynamics, "_lanczos",
+                        lambda *args: runs.append(args) or lanczos(*args))
+    times = TimeGrid().times()
+    engine = ProtocolEvolution(field_protocol(lam=0.5, num_qubits=10), KRYLOV)
+    engine.battery_energy(times)
+    assert 0 < len(runs) < times.size / 10
+
+
+def test_krylov_frame_reduces_in_its_ritz_basis():
+    engine = ProtocolEvolution(field_protocol(lam=0.5, num_qubits=10), KRYLOV)
+    engine.battery_energy([0.0, 0.5])
+    frame = engine._charging_frame
+    sector_dim, kept = frame.basis.shape
+    assert sector_dim == 1 << 9
+    assert kept <= KRYLOV.krylov_dim
+    assert frame.energy_matrix.shape == (kept, kept)
 
 
 def test_site_uniformity_during_charging():
