@@ -3,7 +3,8 @@
 One sampling object, ``_Frame``, does all propagation.  For one constant
 generator H and start vector psi it holds a basis V, energies E and
 coordinates c with exp(-i H t) psi = V (c * exp(-i E t)): the eigensystem
-of H for ``DenseEigen`` (capacity-gated at dimension 2^13), the Ritz
+of H for ``DenseEigen`` (capacity-gated at dimension 2^13; read off the
+diagonal of a diagonal H, otherwise solved by LAPACK in place), the Ritz
 vectors, Ritz values and start coordinates of one Lanczos run for
 ``KrylovLanczos``, which serves every offset within the run's error
 estimate and starts the next run from the last state reached.  Its
@@ -197,16 +198,32 @@ class SpectralData:
 
 
 def spectrum(op: SparseOperator, want_vectors: bool = False) -> SpectralData:
-    """Full ascending spectrum by dense diagonalization (gated at 2^13)."""
+    """Full ascending spectrum by dense diagonalization (gated at 2^13).
+
+    A diagonal operator's eigensystem is read off its diagonal: the
+    stable-sorted entries and unit vectors, with no LAPACK call.  Any other
+    operator is densified in Fortran order and LAPACK diagonalizes it in
+    that buffer, which then holds the eigenvectors.
+    """
     if op.dimension > DENSE_DIM_LIMIT:
         raise CapacityError(
             f"dense spectrum limited to dimension {DENSE_DIM_LIMIT}, got "
             f"{op.dimension}; the KrylovLanczos propagator needs no full spectrum")
+    diagonal = op.matrix.diagonal()
+    if op.matrix.nnz == np.count_nonzero(diagonal):
+        order = np.argsort(diagonal.real, kind="stable")
+        vecs = None
+        if want_vectors:
+            vecs = np.zeros((op.dimension, op.dimension))
+            vecs[order, np.arange(op.dimension)] = 1.0
+        return SpectralData(diagonal.real[order], vecs)
     dense = op.to_dense()
     if want_vectors:
-        vals, vecs = sla.eigh(dense, driver="evd", check_finite=False)
+        vals, vecs = sla.eigh(dense, driver="evd", overwrite_a=True,
+                              check_finite=False)
         return SpectralData(vals, vecs)
-    vals = sla.eigh(dense, eigvals_only=True, check_finite=False)
+    vals = sla.eigh(dense, eigvals_only=True, overwrite_a=True,
+                    check_finite=False)
     return SpectralData(vals)
 
 

@@ -113,7 +113,8 @@ class SparseOperator:
         return self.matrix.nnz
 
     def to_dense(self) -> np.ndarray:
-        return self.matrix.toarray()
+        """The dense matrix in Fortran order, ready for LAPACK to overwrite."""
+        return self.matrix.toarray(order="F")
 
     def to_text(self) -> str:
         """Dump entries as ``row col re im`` lines, sorted by (row, col).

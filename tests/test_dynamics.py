@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg as sla
 
 from spinbattery import (
     CapacityError,
@@ -18,6 +19,7 @@ from spinbattery import (
     PropagatorBackend,
     ProtocolEvolution,
     ProtocolSpec,
+    SparseOperator,
     SpectralData,
     StateVector,
     assemble,
@@ -126,6 +128,70 @@ def test_spectrum_xy_symmetric_about_zero_even_rings():
 def test_spectrum_capacity_gate():
     with pytest.raises(CapacityError):
         spectrum(pauli_site(14, 1, PauliAxis.Z))
+
+
+def no_lapack(*args, **kwargs):
+    raise AssertionError("a diagonal operator needs no LAPACK call")
+
+
+def test_diagonal_spectrum_is_read_off_the_diagonal(monkeypatch):
+    # FieldZ at even N has zero-energy levels, i.e. zero diagonal entries
+    operators = [build(HamiltonianSpec(Family.FIELD_Z, h=1.0), n)
+                 for n in range(3, 9)]
+    lapack = [sla.eigh(op.to_dense(), driver="evd")[0] for op in operators]
+    monkeypatch.setattr(dynamics.sla, "eigh", no_lapack)
+    for op, reference in zip(operators, lapack):
+        data = spectrum(op, want_vectors=True)
+        assert data.eigenvalues.tobytes() == reference.tobytes()
+        assert spectrum(op).eigenvalues.tobytes() == reference.tobytes()
+        npt.assert_array_equal(op.to_dense() @ data.eigenvectors,
+                               data.eigenvectors * data.eigenvalues)
+
+
+def test_one_off_diagonal_pair_takes_the_lapack_route(monkeypatch):
+    matrix = np.diag(np.linspace(-1.0, 1.0, 16))
+    matrix[3, 9] = matrix[9, 3] = 0.3
+    op = SparseOperator(matrix, 4)
+    calls, eigh = [], sla.eigh
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics.sla, "eigh", counting)
+    data = spectrum(op, want_vectors=True)
+    assert len(calls) == 1 and calls[0]["overwrite_a"]
+    vals, vecs = np.linalg.eigh(matrix)
+    npt.assert_allclose(data.eigenvalues, vals, rtol=0, atol=1e-12)
+    npt.assert_allclose(np.abs(data.eigenvectors), np.abs(vecs), rtol=0,
+                        atol=1e-12)
+    npt.assert_allclose(matrix @ data.eigenvectors,
+                        data.eigenvectors * data.eigenvalues, rtol=0,
+                        atol=1e-12)
+
+
+def test_spectrum_leaves_the_operator_unchanged():
+    for op in (build(HamiltonianSpec(Family.FIELD_Z, h=1.0), 5),
+               build(HamiltonianSpec(Family.ISING_ATA, J=1.0), 5)):
+        data = op.matrix.data.copy()
+        spectrum(op, want_vectors=True)
+        spectrum(op)
+        assert op.matrix.data.tobytes() == data.tobytes()
+
+
+def test_spectrum_peak_memory_in_matrices():
+    # in-place LAPACK: the buffer that becomes V plus syevd's 2 d^2
+    # workspace; the diagonal route allocates V alone
+    field = build(HamiltonianSpec(Family.FIELD_Z, h=1.0), 10)
+    mixed = build(HamiltonianSpec(Family.ISING_ATA, J=1.0), 10) + field
+    for op, bound in ((mixed, 3.25), (field, 1.25)):
+        tracemalloc.start()
+        try:
+            spectrum(op, want_vectors=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * op.dimension ** 2 * 8
 
 
 def test_spectral_data_requires_ascending():

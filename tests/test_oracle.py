@@ -163,9 +163,26 @@ def _oracle_states(protocol, start, times):
 @pytest.mark.parametrize("battery", list(Family), ids=lambda f: f.value)
 def test_protocol_evolution_matches_oracle(battery, charger, t_on, backend):
     """Protocol energies and states track the oracle on every pair."""
+    _assert_matches_oracle(ProtocolSpec(family_protocol_spec(battery),
+                                        family_protocol_spec(charger),
+                                        lam=0.4, num_qubits=6, t_on=t_on),
+                           backend)
+
+
+@pytest.mark.parametrize("t_on", [None, 1.1], ids=["always-on", "t_on"])
+@pytest.mark.parametrize("battery", [f for f in Family if f is not Family.FIELD_Z],
+                         ids=lambda f: f.value)
+def test_field_charger_at_full_countereffect_matches_oracle(battery, t_on):
+    """At lambda=1 the field charger alone drives: a diagonal generator."""
     protocol = ProtocolSpec(family_protocol_spec(battery),
-                            family_protocol_spec(charger),
-                            lam=0.4, num_qubits=6, t_on=t_on)
+                            family_protocol_spec(Family.FIELD_Z),
+                            lam=1.0, num_qubits=6, t_on=t_on)
+    charging = protocol_hamiltonian(protocol, ProtocolPhase.CHARGING).matrix
+    assert charging.nnz == np.count_nonzero(charging.diagonal())
+    _assert_matches_oracle(protocol, PropagatorBackend.dense())
+
+
+def _assert_matches_oracle(protocol, backend):
     engine = ProtocolEvolution(protocol, backend)
     times = np.array([2.5, 0.0, 0.37, 1.1, 4.0])
     h_battery = engine.h_battery.to_dense()

@@ -2,7 +2,11 @@
 
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -494,6 +498,27 @@ def test_cli_list_presets(capsys):
     out = capsys.readouterr().out
     assert out.count("fig") >= 21
     assert "battery=IsingNN charger=FieldZ" in out
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(runner.__file__).parents[1]),
+         os.environ.get("PYTHONPATH", "")]))
+
+    def module(*args):
+        return subprocess.run([sys.executable, "-m", "spinbattery", *args],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+
+    usage = module("--help")
+    assert (usage.returncode, usage.stderr) == (0, "")
+    assert "list-presets" in usage.stdout
+    listing = module("list-presets")
+    assert (listing.returncode, listing.stderr) == (0, "")
+    names = [line.split()[0] for line in listing.stdout.splitlines()
+             if line and not line[0].isspace()]
+    assert names == [name for name, _, _ in list_presets()]
+    assert len(names) == 21
 
 
 def test_cli_validate_and_run(tmp_path, capsys):
