@@ -15,11 +15,15 @@ whole series.
 
 A frame keeps only the components psi occupies: it drops the lightest of
 c while their summed weight stays within 1e-24, which moves every state
-by at most 1e-12 in norm and <H_B> by at most 2 ||H_B|| 1e-12.  When the
-m kept columns V_k are at most half of the dimension d, the coordinates
-are reduced with the m x m matrix B = V_k^dag H_B V_k, formed once per
-frame, so a sample costs O(m^2); otherwise the states themselves are
-reduced with the sparse H_B.
+by at most 1e-12 in norm and <H_B> by at most 2 ||H_B|| 1e-12.  Kept
+energies within ``_CLUSTER_TOL`` max(1, max|E|) of their neighbour then
+form a cluster C: one column V_C c_C / ||c_C||, gathered cluster by
+cluster, with coordinate ||c_C|| and the weight-averaged energy.  That is
+exact in a degenerate eigenspace, where psi's projection is one vector;
+a spread moves a state at offset t by at most sum_C ||c_C|| spread_C t.
+Unlike ``DEGENERACY_TOL``, which picks the ground level, ``_CLUSTER_TOL``
+merges only rounding-level splittings.  <H_B> is reduced on the k columns
+V with B = V^dag H_B V, formed once per frame: O(k^2) per sample.
 
 Every family conserves the spin-flip parity P = prod sigma^z, and psi_0
 has a definite P, so ``ProtocolEvolution`` runs both phases and <H_B> on
@@ -61,6 +65,7 @@ _SECTOR_LEAK_TOL = 1e-20  # weight a state may leave outside its parity sector
 # start weight a dense phase may drop from its eigenbasis: moves a state by
 # at most 1e-12 in norm (rounding leaves ~1e-30 on symmetry-zero components)
 _SUPPORT_DROP_WEIGHT = 1e-24
+_CLUSTER_TOL = 1e-13  # relative energy spread merged into one frame column
 
 
 class BackendKind(enum.Enum):
@@ -380,18 +385,6 @@ def _support(coeffs) -> np.ndarray:
     return kept
 
 
-def _energy_parts(matrix, columns):
-    """Real part and imaginary residue of <psi|H|psi> for each column.
-
-    With psi = a + ib and H psi = p + iq, <psi|H|psi> = a.p + b.q plus
-    i (a.q - b.p); for a real symmetric H the residue is a.Hb - b.Ha.
-    """
-    image = _apply(matrix, columns)
-    a, b, p, q = columns.real, columns.imag, image.real, image.imag
-    return (np.einsum("ij,ij->j", a, p) + np.einsum("ij,ij->j", b, q),
-            np.einsum("ij,ij->j", a, q) - np.einsum("ij,ij->j", b, p))
-
-
 def _lanczos(matrix, start, krylov_dim):
     """Ritz data of one Lanczos run of ``matrix`` from ``start``.
 
@@ -428,10 +421,8 @@ class _Frame:
     """``exp(-i H t) start`` as V (c exp(-i E t)), and <H_B> on it.
 
     (V, E, c) is H's eigensystem for a dense frame and one Lanczos run's
-    Ritz data for a Krylov frame.  ``basis`` keeps the columns the start
-    occupies (``_support``) when they are at most half of the register,
-    otherwise all of them with the dropped coordinates zero.  One
-    coordinate block is alive at a time.
+    Ritz data for a Krylov frame, with one column per occupied energy (see
+    the module docstring).  One coordinate block is alive at a time.
     """
 
     def __init__(self, op: SparseOperator, start, backend: PropagatorBackend,
@@ -445,15 +436,22 @@ class _Frame:
         else:
             vecs, vals, coeffs, error_row = _lanczos(op.matrix, start,
                                                      backend.krylov_dim)
-        kept = _support(coeffs)
-        self._reduced = 2 * np.count_nonzero(kept) <= vecs.shape[0]
-        if self._reduced:
-            vecs, vals = vecs[:, kept], vals[kept]
-            coeffs, error_row = coeffs[kept], error_row[kept]
-        else:
-            coeffs[~kept] = 0.0
-        self.basis, self._vals, self._coeffs = vecs, vals, coeffs
-        self._error_row = error_row
+        tol = _CLUSTER_TOL * max(1.0, np.abs(vals).max())
+        kept = np.flatnonzero(_support(coeffs))
+        vals, coeffs, error_row = vals[kept], coeffs[kept], error_row[kept]
+        bounds = np.append(np.flatnonzero(np.diff(vals, prepend=-np.inf)
+                                          > tol), kept.size)
+        weight = np.abs(coeffs) ** 2
+        cluster_weight = np.add.reduceat(weight, bounds[:-1])
+        unit = coeffs / np.repeat(np.sqrt(cluster_weight), np.diff(bounds))
+        unit = unit if np.any(unit.imag) else unit.real  # real starts stay real
+        self.basis = np.empty((vecs.shape[0], bounds.size - 1),
+                              np.result_type(vecs, unit))
+        for j, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+            self.basis[:, j] = _apply(vecs[:, kept[lo:hi]], unit[lo:hi])
+        self._vals = np.add.reduceat(weight * vals, bounds[:-1]) / cluster_weight
+        self._coeffs = np.sqrt(cluster_weight)
+        self._error_row = np.add.reduceat(error_row * unit, bounds[:-1])
 
     def _coordinates(self, offsets):
         return self._coeffs[:, None] * np.exp(
@@ -505,16 +503,18 @@ class _Frame:
 
     @functools.cached_property
     def energy_matrix(self):
-        """B in the kept basis, or None when the states are reduced."""
-        if not self._reduced:
-            return None
+        """B = V^dag H_B V in the collapsed basis V."""
         return self.basis.conj().T @ _apply(self._h_battery, self.basis)
 
     def energy_parts(self, block):
-        """``_energy_parts`` of H_B on the states of one coordinate block."""
-        if self.energy_matrix is None:
-            return _energy_parts(self._h_battery, self.columns(block))
-        return _energy_parts(self.energy_matrix, block)
+        """<H_B> and its imaginary residue for each column a + ib of ``block``.
+
+        With B (a + ib) = p + iq they are a.p + b.q and a.q - b.p.
+        """
+        image = _apply(self.energy_matrix, block)
+        a, b, p, q = block.real, block.imag, image.real, image.imag
+        return (np.einsum("ij,ij->j", a, p) + np.einsum("ij,ij->j", b, q),
+                np.einsum("ij,ij->j", a, q) - np.einsum("ij,ij->j", b, p))
 
 
 def propagate(op: SparseOperator, state: StateVector, t: float,

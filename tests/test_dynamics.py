@@ -35,7 +35,7 @@ from spinbattery.dynamics import (DEGENERACY_TOL, _SUPPORT_DROP_WEIGHT,
                                   _select_ground_representative, _support)
 from spinbattery.metrics import (TimeGrid, family_protocol_spec,
                                  stored_energy_series)
-from spinbattery.oracle import xbasis_enumeration
+from spinbattery.oracle import dense_expm_apply, xbasis_enumeration
 
 DENSE = PropagatorBackend.dense()
 KRYLOV = PropagatorBackend.krylov()
@@ -594,6 +594,33 @@ def test_support_drops_at_most_the_allowed_weight(seed):
     assert weight[~kept].sum() <= _SUPPORT_DROP_WEIGHT
     # dropping the lightest kept component as well would exceed the bound
     assert weight[~kept].sum() + weight[kept].min() > _SUPPORT_DROP_WEIGHT
+
+
+@pytest.mark.parametrize("diagonal, start, columns", [
+    ([0.5, 0.5 + 1e-15, 0.5 + 1e-9, 2.0], [1.0, 2j, 3.0, 4.0], 3),
+    ([1.0, 1.0, -1.0, 3.0], [0.0, 1.0, 0.0, 1.0], 2),
+], ids=["rounding-level-split", "one-of-a-degenerate-pair"])
+def test_frame_keeps_one_column_per_occupied_energy(diagonal, start, columns):
+    """Energies 1e-15 apart share a column, 1e-9 apart do not; either way
+    the frame's states and <H_B> match the oracle."""
+    op = SparseOperator(np.diag(diagonal), 2)
+    start = StateVector.normalized(start)
+    rng = np.random.default_rng(3)
+    h_battery = rng.normal(size=(4, 4))
+    h_battery += h_battery.T
+    frame = dynamics._Frame(op, start.amplitudes, DENSE, h_battery)
+    assert frame.basis.shape == (4, columns)
+    assert frame.energy_matrix.shape == (columns, columns)
+    times = np.array([0.0, 0.7, 3.0, 40.0])
+    (owner, block), = frame.blocks(times)
+    energies, residues = owner.energy_parts(block)
+    for t, energy, residue in zip(times, energies, residues):
+        ref = dense_expm_apply(np.diag(diagonal), start, t).amplitudes
+        state = StateVector.normalized(frame.state_at(t)).amplitudes
+        npt.assert_allclose(state, ref, atol=1e-12)
+        assert energy == pytest.approx(
+            np.vdot(ref, h_battery @ ref).real, abs=1e-12)
+        assert abs(residue) < 1e-12
 
 
 def test_refinement_reuses_the_reduced_battery_matrix(monkeypatch):

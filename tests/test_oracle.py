@@ -275,12 +275,29 @@ def test_light_start_component_is_kept(monkeypatch):
     assert np.abs(basis.T @ outside).max() == pytest.approx(1.0, abs=1e-9)
 
 
-def test_full_support_takes_the_full_space_route():
-    """With the battery switched off psi_0 spreads over every eigenvector."""
+def test_full_support_collapses_to_one_column_per_energy():
+    """With the battery switched off psi_0 spreads over most eigenvectors of
+    the field charger, yet occupies only a few distinct energies."""
     engine = ProtocolEvolution(
         _support_protocol(Family.ISING_NN, Family.FIELD_Z, 1.0, 8),
         PropagatorBackend.dense())
     _assert_energies_match_oracle(engine, engine.initial_state, SUPPORT_TIMES)
+    data = spectrum(engine._charging_block, want_vectors=True)
+    occupied = np.abs(data.eigenvectors.T @ engine._start) > 1e-12
+    levels = np.unique(data.eigenvalues[occupied]).size
+    assert 2 * occupied.sum() > 1 << 7 and levels < 10
     frame = engine._charging_frame
-    assert frame.basis.shape == (1 << 7, 1 << 7)
-    assert frame.energy_matrix is None
+    assert frame.basis.shape == (1 << 7, levels)
+    assert frame.energy_matrix.shape == (levels, levels)
+
+
+def test_after_t_on_frame_keeps_one_column_per_battery_level():
+    """The after-t_on frame lives in H_B's eigenbasis, which has few levels."""
+    protocol = ProtocolSpec(family_protocol_spec(Family.ISING_NN),
+                            family_protocol_spec(Family.XY_ATA), lam=0.4,
+                            num_qubits=8, t_on=3.3)
+    engine = ProtocolEvolution(protocol, PropagatorBackend.dense())
+    _assert_energies_match_oracle(engine, engine.initial_state,
+                                  np.array([0.0, 2.0, 3.3, 4.0, 40.0]))
+    levels = len(spectrum(engine._battery_block).degeneracies())
+    assert engine._after_frame.basis.shape[1] <= levels
