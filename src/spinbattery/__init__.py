@@ -40,7 +40,6 @@ from .metrics import (
     stored_energy_series,
     substituted_protocol,
     sweep,
-    sweep_point,
 )
 
 __version__ = "0.1.0"
@@ -97,5 +96,4 @@ __all__ = [
     "stored_energy_series",
     "substituted_protocol",
     "sweep",
-    "sweep_point",
 ]

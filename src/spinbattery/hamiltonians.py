@@ -35,10 +35,18 @@ class Family(enum.Enum):
     XY_ATA = "XYATA"
 
 
-INTERACTING_FAMILIES = frozenset(
-    {Family.ISING_NN, Family.ISING_ATA, Family.XY_NN, Family.XY_ATA})
-_ATA_FAMILIES = frozenset({Family.ISING_ATA, Family.XY_ATA})
-_XY_FAMILIES = frozenset({Family.XY_NN, Family.XY_ATA})
+# The parameters each family takes, with their defaults (the standard figure
+# parameters); K = None is the maximal range of the ring.
+_PARAMETERS = {
+    Family.FIELD_Z: {"h": 1.0},
+    Family.ISING_NN: {"J": 1.0},
+    Family.ISING_ATA: {"J": 1.0, "K": None},
+    Family.XY_NN: {"J": 1.0, "gamma": 0.5},
+    Family.XY_ATA: {"J": 1.0, "gamma": 0.5, "K": None},
+}
+INTERACTING_FAMILIES = frozenset(f for f, p in _PARAMETERS.items() if "J" in p)
+_ATA_FAMILIES = frozenset(f for f, p in _PARAMETERS.items() if "K" in p)
+_XY_FAMILIES = frozenset(f for f, p in _PARAMETERS.items() if "gamma" in p)
 
 CANONICAL_LAMBDA_MAX = 1.0
 EXTENDED_LAMBDA_MAX = 5.0
@@ -56,14 +64,38 @@ def _as_family(value) -> Family:
     raise ParameterError(f"unknown family {value!r} (choose from {names})")
 
 
+def _as_int(value, error: str) -> int:
+    """``value`` as an int; a fractional or non-numeric value is an error."""
+    try:
+        whole = int(value)
+        if whole == float(value):
+            return whole
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ParameterError(f"{error}, got {value}")
+
+
+def _checked(key: str, value):
+    """One parameter value, converted and range-checked."""
+    if key == "K":
+        K = _as_int(value, "interaction range K must be an integer")
+        if K < 1:
+            raise ParameterError(f"interaction range K must be >= 1, got {K}")
+        return K
+    value = float(value)
+    if key == "gamma" and not -1.0 <= value <= 1.0:
+        raise ParameterError(f"gamma must lie in [-1, 1], got {value}")
+    if not math.isfinite(value):
+        raise ParameterError(f"{key} must be finite, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class HamiltonianSpec:
     """Parameters selecting one member of one family.
 
-    Field usage is family-dependent: ``h`` only for FieldZ (default 1),
-    ``J`` only for interacting families (default 1), ``gamma`` only for XY
-    (default 0.5), ``K`` only for the long-range families (auto-derived from
-    N when left unset).  These defaults are the standard figure parameters.
+    A family takes only the parameters ``_PARAMETERS`` lists for it, and
+    those left unset take the defaults listed there.
     """
 
     family: Family
@@ -75,39 +107,30 @@ class HamiltonianSpec:
     def __post_init__(self):
         family = _as_family(self.family)
         object.__setattr__(self, "family", family)
-        if family is Family.FIELD_Z:
-            if self.J is not None:
-                raise ParameterError("J is meaningless for FieldZ")
-            h = 1.0 if self.h is None else float(self.h)
-            if not math.isfinite(h):
-                raise ParameterError(f"h must be finite, got {h}")
-            object.__setattr__(self, "h", h)
-        else:
-            if self.h is not None:
-                raise ParameterError(f"h is meaningless for {family.value}")
-            J = 1.0 if self.J is None else float(self.J)
-            if not math.isfinite(J):
-                raise ParameterError(f"J must be finite, got {J}")
-            object.__setattr__(self, "J", J)
-        if family in _XY_FAMILIES:
-            gamma = 0.5 if self.gamma is None else float(self.gamma)
-            if not -1.0 <= gamma <= 1.0:
-                raise ParameterError(f"gamma must lie in [-1, 1], got {gamma}")
-            object.__setattr__(self, "gamma", gamma)
-        elif self.gamma is not None:
-            raise ParameterError(f"gamma is meaningless for {family.value}")
-        if family in _ATA_FAMILIES:
-            if self.K is not None:
-                K = int(self.K)
-                if K < 1:
-                    raise ParameterError(f"interaction range K must be >= 1, got {K}")
-                object.__setattr__(self, "K", K)
-        elif self.K is not None:
-            raise ParameterError(f"K is meaningless for {family.value}")
+        taken = _PARAMETERS[family]
+        for key in ("h", "J", "gamma", "K"):
+            value = getattr(self, key)
+            if value is not None and key not in taken:
+                raise ParameterError(f"{key} is meaningless for {family.value}")
+            if value is None:
+                value = taken.get(key)
+            if value is not None:
+                object.__setattr__(self, key, _checked(key, value))
 
     @property
     def is_interacting(self) -> bool:
         return self.family in INTERACTING_FAMILIES
+
+    def on_family(self, family) -> "HamiltonianSpec":
+        """This spec's h, J and gamma on ``family``, at its maximal range.
+
+        Only the parameters ``family`` takes are kept; the ones this spec
+        leaves unset take the family's defaults.
+        """
+        family = _as_family(family)
+        return HamiltonianSpec(family, **{key: getattr(self, key)
+                                          for key in _PARAMETERS[family]
+                                          if key != "K"})
 
 
 def interaction_range(num_qubits: int) -> int:
@@ -228,7 +251,7 @@ class ProtocolSpec:
             if not isinstance(value, bool):
                 # a truthy string such as "no" would silently flip the flag
                 raise ParameterError(f"{flag} must be a bool, got {value!r}")
-        num_qubits = int(self.num_qubits)
+        num_qubits = _as_int(self.num_qubits, "ring sizes must be integers")
         needed = max(_min_size(self.battery.family), _min_size(self.charger.family))
         if num_qubits < needed:
             raise ParameterError(

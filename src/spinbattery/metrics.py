@@ -17,8 +17,7 @@ import numpy as np
 
 from .dynamics import PropagatorBackend, ProtocolEvolution
 from .errors import ParameterError
-from .hamiltonians import (Family, HamiltonianSpec, ProtocolSpec, _ATA_FAMILIES,
-                           _XY_FAMILIES, _as_family)
+from .hamiltonians import ProtocolSpec
 
 WORKERS_ENV_VAR = "SPINBATTERY_WORKERS"
 
@@ -217,12 +216,6 @@ def sweep_map(evaluate, values, workers=None) -> list:
         return list(pool.map(evaluate, values))  # input order preserved
 
 
-def _with_auto_range(spec: HamiltonianSpec) -> HamiltonianSpec:
-    if spec.family in _ATA_FAMILIES and spec.K is not None:
-        return dataclasses.replace(spec, K=None)
-    return spec
-
-
 def substituted_protocol(base: ProtocolSpec, parameter_name: str,
                          value) -> ProtocolSpec:
     """Base protocol with one swept parameter replaced.
@@ -235,9 +228,9 @@ def substituted_protocol(base: ProtocolSpec, parameter_name: str,
         return dataclasses.replace(base, lam=float(value))
     if parameter_name == "N":
         return dataclasses.replace(
-            base, num_qubits=int(value),
-            battery=_with_auto_range(base.battery),
-            charger=_with_auto_range(base.charger))
+            base, num_qubits=value,
+            battery=base.battery.on_family(base.battery.family),
+            charger=base.charger.on_family(base.charger.family))
     if parameter_name == "J":
         if not base.battery.is_interacting:
             raise ParameterError(
@@ -250,14 +243,6 @@ def substituted_protocol(base: ProtocolSpec, parameter_name: str,
         "(choose from lambda, N, J)")
 
 
-def sweep_point(base: ProtocolSpec, parameter_name: str, value,
-                grid: TimeGrid, backend: PropagatorBackend) -> SweepRecord:
-    """Evaluate one sweep point; knows the substitution rule per parameter."""
-    protocol = substituted_protocol(base, parameter_name, value)
-    series = stored_energy_series(protocol, grid, backend)
-    return SweepRecord.from_series(parameter_name, value, series)
-
-
 def sweep(base: ProtocolSpec, parameter: str, values, grid: TimeGrid,
           backend: PropagatorBackend, workers=None) -> list[SweepRecord]:
     """Independent protocol runs over one parameter, in input order.
@@ -265,21 +250,9 @@ def sweep(base: ProtocolSpec, parameter: str, values, grid: TimeGrid,
     ``parameter`` is ``lambda``, ``N`` or ``J`` as in ``substituted_protocol``;
     a coupling sweep is fitted with ``fit_log10`` over its records.
     """
-    return sweep_map(
-        lambda value: sweep_point(base, parameter, value, grid, backend),
-        values, workers)
+    def point(value):
+        protocol = substituted_protocol(base, parameter, value)
+        series = stored_energy_series(protocol, grid, backend)
+        return SweepRecord.from_series(parameter, value, series)
 
-
-def family_protocol_spec(family: Family, *, J: float | None = None,
-                         h: float | None = None,
-                         gamma: float | None = None) -> HamiltonianSpec:
-    """Spec for any family from the parameters it takes; the rest are dropped.
-
-    Parameters left unset take ``HamiltonianSpec``'s defaults.
-    """
-    family = _as_family(family)
-    if family is Family.FIELD_Z:
-        return HamiltonianSpec(family, h=h)
-    if family in _XY_FAMILIES:
-        return HamiltonianSpec(family, J=J, gamma=gamma)
-    return HamiltonianSpec(family, J=J)
+    return sweep_map(point, values, workers)

@@ -64,14 +64,6 @@ class PauliTerm:
         object.__setattr__(self, "factors", tuple(normalized))
         object.__setattr__(self, "coefficient", coefficient)
 
-    @property
-    def weight(self) -> int:
-        """Number of non-identity factors."""
-        return len(self.factors)
-
-    def max_site(self) -> int:
-        return max((s for s, _ in self.factors), default=1)
-
 
 class SparseOperator:
     """Hermitian operator on ``2**num_qubits`` dimensions, stored as CSR.
@@ -142,13 +134,6 @@ class SparseOperator:
         return SparseOperator(self.matrix + other.matrix, self.num_qubits,
                               check_hermitian=False)
 
-    def __sub__(self, other: "SparseOperator") -> "SparseOperator":
-        if not isinstance(other, SparseOperator):
-            return NotImplemented
-        self._require_same_shape(other)
-        return SparseOperator(self.matrix - other.matrix, self.num_qubits,
-                              check_hermitian=False)
-
     def __mul__(self, scalar) -> "SparseOperator":
         if isinstance(scalar, complex) and scalar.imag != 0.0:
             raise ParameterError("scaling by a complex factor breaks Hermiticity")
@@ -156,9 +141,6 @@ class SparseOperator:
                               self.num_qubits, check_hermitian=False)
 
     __rmul__ = __mul__
-
-    def __neg__(self) -> "SparseOperator":
-        return self * -1.0
 
 
 def _check_site(num_qubits: int, site: int) -> None:

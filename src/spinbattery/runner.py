@@ -29,7 +29,6 @@ from .metrics import (
     TimeGrid,
     TimeSeries,
     _resolve_workers,
-    family_protocol_spec,
     fit_log10,
     stored_energy_series,
     substituted_protocol,
@@ -260,12 +259,6 @@ def parse_config(text: str, label: str = "config") -> ExperimentConfig:
                 "swept charger takes its own maximal range")
         emit_series = sweep_section.take("series", _parse_bool, default=False)
         sweep_section.reject_leftovers()
-        if parameter == "N":
-            if any(v != int(v) for v in values):
-                raise ParameterError(
-                    "bad value for sweep.values: ring sizes must be integers")
-            values = tuple(int(v) for v in values)
-        sweep = SweepPlan(parameter, values, families, emit_series)
         _, first_charger = _charger_variants(charger, families)[0]
         base = dataclasses.replace(protocol, charger=first_charger)
         for value in values:
@@ -273,6 +266,9 @@ def parse_config(text: str, label: str = "config") -> ExperimentConfig:
                 substituted_protocol(base, parameter, value)
             except ParameterError as exc:
                 raise ParameterError(f"[sweep] value {value:g}: {exc}")
+        if parameter == "N":
+            values = tuple(int(v) for v in values)
+        sweep = SweepPlan(parameter, values, families, emit_series)
 
     output_section = sections.get("output", _Section("output", {}))
     directory = output_section.take("directory", str,
@@ -291,9 +287,7 @@ def _charger_variants(template: HamiltonianSpec, families) -> list:
     """
     if families is None:
         return [(None, template)]
-    return [(f, family_protocol_spec(f, J=template.J, h=template.h,
-                                     gamma=template.gamma))
-            for f in families]
+    return [(f, template.on_family(f)) for f in families]
 
 
 # ---------------------------------------------------------------------------
@@ -594,7 +588,3 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return 3
-
-
-if __name__ == "__main__":
-    sys.exit(main())

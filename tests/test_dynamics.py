@@ -33,8 +33,7 @@ from spinbattery import (
 from spinbattery import dynamics
 from spinbattery.dynamics import (DEGENERACY_TOL, _SUPPORT_DROP_WEIGHT,
                                   _select_ground_representative, _support)
-from spinbattery.metrics import (TimeGrid, family_protocol_spec,
-                                 stored_energy_series)
+from spinbattery.metrics import TimeGrid, stored_energy_series
 from spinbattery.oracle import dense_expm_apply, xbasis_enumeration
 
 DENSE = PropagatorBackend.dense()
@@ -549,8 +548,8 @@ def test_protocol_runs_in_half_the_register(monkeypatch):
         return spectrum(op, want_vectors)
 
     engines = [ProtocolEvolution(
-        ProtocolSpec(family_protocol_spec(battery),
-                     family_protocol_spec(charger), lam=0.4, num_qubits=6,
+        ProtocolSpec(HamiltonianSpec(battery),
+                     HamiltonianSpec(charger), lam=0.4, num_qubits=6,
                      t_on=1.1), DENSE)
         for battery, charger in itertools.product(Family, repeat=2)]
     monkeypatch.setattr("spinbattery.dynamics.spectrum", recording)

@@ -170,6 +170,37 @@ def test_coupling_default_is_unity():
     assert HamiltonianSpec(Family.ISING_NN).J == 1.0
 
 
+# the parameters each family takes, with their defaults (K = None is the
+# maximal range)
+FAMILY_PARAMETERS = {
+    Family.FIELD_Z: {"h": 1.0},
+    Family.ISING_NN: {"J": 1.0},
+    Family.ISING_ATA: {"J": 1.0, "K": None},
+    Family.XY_NN: {"J": 1.0, "gamma": 0.5},
+    Family.XY_ATA: {"J": 1.0, "gamma": 0.5, "K": None},
+}
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.value)
+def test_family_parameter_table(family):
+    taken = FAMILY_PARAMETERS[family]
+    spec = HamiltonianSpec(family)
+    for key in ("h", "J", "gamma", "K"):
+        assert getattr(spec, key) == taken.get(key)
+        if key not in taken:
+            with pytest.raises(ParameterError,
+                               match=f"{key} is meaningless for {family.value}"):
+                HamiltonianSpec(family, **{key: 1})
+    # shared parameters carry over, the rest take defaults, and K is dropped
+    field = HamiltonianSpec(Family.FIELD_Z, h=0.3)
+    assert field.on_family(family) == HamiltonianSpec(
+        family, h=0.3 if "h" in taken else None)
+    xy = HamiltonianSpec(Family.XY_ATA, J=0.7, gamma=-0.2, K=1)
+    shared = {k: v for k, v in (("J", 0.7), ("gamma", -0.2)) if k in taken}
+    moved = xy.on_family(family)
+    assert moved == HamiltonianSpec(family, **shared) and moved.K is None
+
+
 def test_build_size_limits():
     with pytest.raises(ParameterError):
         build(HamiltonianSpec(Family.ISING_NN, J=1.0), 2)
@@ -196,6 +227,17 @@ def test_protocol_spec_validation():
     extended = ProtocolSpec(battery, charger, lam=3.7, num_qubits=4,
                             extended_lambda=True)
     assert extended.lam == 3.7
+
+
+def test_fractional_sizes_and_ranges_are_rejected():
+    battery = HamiltonianSpec(Family.FIELD_Z)
+    charger = HamiltonianSpec(Family.ISING_ATA)
+    with pytest.raises(ParameterError, match="ring sizes must be integers"):
+        ProtocolSpec(battery, charger, lam=0.5, num_qubits=4.7)
+    with pytest.raises(ParameterError, match="K must be an integer"):
+        HamiltonianSpec(Family.ISING_ATA, K=2.9)
+    assert ProtocolSpec(battery, charger, lam=0.5, num_qubits=6.0).num_qubits == 6
+    assert HamiltonianSpec(Family.XY_ATA, K=np.int64(2)).K == 2
 
 
 def test_protocol_flags_must_be_bool():

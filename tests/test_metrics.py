@@ -21,9 +21,7 @@ from spinbattery import (
     max_over_time,
     stored_energy_series,
     sweep,
-    sweep_point,
 )
-from spinbattery.metrics import family_protocol_spec
 
 DENSE = PropagatorBackend.dense()
 FIELD = HamiltonianSpec(Family.FIELD_Z, h=1.0)
@@ -232,9 +230,14 @@ def test_sweep_coupling_needs_interacting_battery():
         sweep(base, "J", [0.5, 1.0, 2.0], TimeGrid(end=10.0), DENSE)
 
 
-def test_sweep_point_rejects_unknown_parameter():
-    with pytest.raises(ParameterError):
-        sweep_point(ata_protocol(), "gamma", 0.1, TimeGrid(end=5.0), DENSE)
+def test_sweep_rejects_unknown_parameter():
+    with pytest.raises(ParameterError, match="unknown sweep parameter"):
+        sweep(ata_protocol(), "gamma", [0.1], TimeGrid(end=5.0), DENSE)
+
+
+def test_ring_size_sweep_rejects_fractional_sizes():
+    with pytest.raises(ParameterError, match="ring sizes must be integers"):
+        sweep(ata_protocol(), "N", (5.5,), TimeGrid(end=5.0), DENSE)
 
 
 def test_sweep_records_carry_peak_times_inside_grid():
@@ -280,7 +283,7 @@ def test_threads_sharing_cold_operators_match_sequential():
 
 def test_unknown_family_is_a_parameter_error():
     with pytest.raises(ParameterError, match="bogus"):
-        family_protocol_spec("bogus")
+        HamiltonianSpec("bogus")
 
 
 def test_identical_battery_and_charger_stores_nothing():

@@ -22,7 +22,6 @@ from spinbattery import (
     protocol_hamiltonian,
     spectrum,
 )
-from spinbattery.metrics import family_protocol_spec
 from spinbattery.oracle import DenseOperator, dense_expm_apply, xbasis_enumeration
 
 UP = StateVector.basis_state(1, 0)
@@ -163,8 +162,8 @@ def _oracle_states(protocol, start, times):
 @pytest.mark.parametrize("battery", list(Family), ids=lambda f: f.value)
 def test_protocol_evolution_matches_oracle(battery, charger, t_on, backend):
     """Protocol energies and states track the oracle on every pair."""
-    _assert_matches_oracle(ProtocolSpec(family_protocol_spec(battery),
-                                        family_protocol_spec(charger),
+    _assert_matches_oracle(ProtocolSpec(HamiltonianSpec(battery),
+                                        HamiltonianSpec(charger),
                                         lam=0.4, num_qubits=6, t_on=t_on),
                            backend)
 
@@ -174,8 +173,8 @@ def test_protocol_evolution_matches_oracle(battery, charger, t_on, backend):
                          ids=lambda f: f.value)
 def test_field_charger_at_full_countereffect_matches_oracle(battery, t_on):
     """At lambda=1 the field charger alone drives: a diagonal generator."""
-    protocol = ProtocolSpec(family_protocol_spec(battery),
-                            family_protocol_spec(Family.FIELD_Z),
+    protocol = ProtocolSpec(HamiltonianSpec(battery),
+                            HamiltonianSpec(Family.FIELD_Z),
                             lam=1.0, num_qubits=6, t_on=t_on)
     charging = protocol_hamiltonian(protocol, ProtocolPhase.CHARGING).matrix
     assert charging.nnz == np.count_nonzero(charging.diagonal())
@@ -199,8 +198,8 @@ def _assert_matches_oracle(protocol, backend):
 
 def test_mixed_parity_start_keeps_the_full_register(monkeypatch):
     """A psi_0 spread over both parity sectors is propagated in full."""
-    protocol = ProtocolSpec(family_protocol_spec(Family.FIELD_Z),
-                            family_protocol_spec(Family.ISING_ATA),
+    protocol = ProtocolSpec(HamiltonianSpec(Family.FIELD_Z),
+                            HamiltonianSpec(Family.ISING_ATA),
                             lam=0.4, num_qubits=6, t_on=1.1)
     h_battery = build(protocol.battery, 6)
     amplitudes = np.zeros(1 << 6)
@@ -218,8 +217,8 @@ def test_mixed_parity_start_keeps_the_full_register(monkeypatch):
 
 
 def _support_protocol(battery, charger, lam, num_qubits):
-    return ProtocolSpec(family_protocol_spec(battery),
-                        family_protocol_spec(charger), lam=lam,
+    return ProtocolSpec(HamiltonianSpec(battery),
+                        HamiltonianSpec(charger), lam=lam,
                         num_qubits=num_qubits)
 
 
@@ -293,8 +292,8 @@ def test_full_support_collapses_to_one_column_per_energy():
 
 def test_after_t_on_frame_keeps_one_column_per_battery_level():
     """The after-t_on frame lives in H_B's eigenbasis, which has few levels."""
-    protocol = ProtocolSpec(family_protocol_spec(Family.ISING_NN),
-                            family_protocol_spec(Family.XY_ATA), lam=0.4,
+    protocol = ProtocolSpec(HamiltonianSpec(Family.ISING_NN),
+                            HamiltonianSpec(Family.XY_ATA), lam=0.4,
                             num_qubits=8, t_on=3.3)
     engine = ProtocolEvolution(protocol, PropagatorBackend.dense())
     _assert_energies_match_oracle(engine, engine.initial_state,
