@@ -30,8 +30,8 @@ def main():
     print(f"{'t':>6s} {'|1 - <dense|krylov>|':>22s} "
           f"{'|1 - <dense|reference>|':>24s}")
     for t in (0.5, 2.0, 7.5, 20.0):
-        dense = propagate(charger, start, t, PropagatorBackend.dense())
-        krylov = propagate(charger, start, t, PropagatorBackend.krylov())
+        dense = propagate(charger, start, t, PropagatorBackend())
+        krylov = propagate(charger, start, t, PropagatorBackend("krylov"))
         brute = dense_expm_apply(reference, start, t)
         print(f"{t:6.1f} {1 - abs(dense.overlap(krylov)):22.3e} "
               f"{1 - abs(dense.overlap(brute)):24.3e}")

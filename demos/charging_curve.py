@@ -25,7 +25,7 @@ def main():
         num_qubits=6,
     )
     grid = TimeGrid(end=25.0, step=0.05)
-    series = stored_energy_series(protocol, grid, PropagatorBackend.dense())
+    series = stored_energy_series(protocol, grid, PropagatorBackend())
 
     print("six-spin ring, field battery, long-range Ising charger, lam=1")
     print(f"{'t':>8s} {'delta_e':>10s} {'power':>10s}")

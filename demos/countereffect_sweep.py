@@ -18,7 +18,7 @@ from spinbattery import (
 
 
 def main():
-    backend = PropagatorBackend.dense()
+    backend = PropagatorBackend()
     grid = TimeGrid(end=50.0, step=0.05)
 
     base = ProtocolSpec(

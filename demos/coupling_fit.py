@@ -27,7 +27,7 @@ def main():
     )
     couplings = [0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 4.0]
     records = sweep(base, "J", couplings, TimeGrid(end=60.0),
-                    PropagatorBackend.dense())
+                    PropagatorBackend())
     fit = fit_log10(couplings, [r.p_max for r in records])
 
     print("ring battery, field charger, lam=0, eight spins")

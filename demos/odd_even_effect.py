@@ -25,7 +25,7 @@ def main():
         num_qubits=4,
     )
     sizes = range(4, 11)
-    records = sweep(base, "N", sizes, TimeGrid(), PropagatorBackend.dense())
+    records = sweep(base, "N", sizes, TimeGrid(), PropagatorBackend())
 
     print("long-range Ising charger at lam=1")
     print(f"{'N':>3s} {'de_max':>9s} {'de_max/hN':>10s} {'p_max':>8s}")

@@ -29,8 +29,8 @@ Every family conserves the spin-flip parity P = prod sigma^z, and psi_0
 has a definite P, so ``ProtocolEvolution`` runs both phases and <H_B> on
 psi_0's parity sector: half the register, an eighth of the dense solve,
 and the capacity gate applies to that half.  A psi_0 with more than 1e-20
-of its weight outside one sector, or a single site, keeps the full
-register; ``ground_state`` and ``propagate`` always use it.
+of its weight outside one sector is a ``NumericalError``.  ``ground_state``
+and ``propagate`` work on the full register.
 
 All five Hamiltonian families assemble to real symmetric matrices
 (sigma^y only ever enters in pairs) and are stored as float64, so the
@@ -49,8 +49,8 @@ import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
 from .errors import CapacityError, NumericalError, ParameterError
-from .hamiltonians import (ProtocolPhase, ProtocolSpec, _shared_build,
-                           protocol_hamiltonian)
+from .hamiltonians import (ProtocolPhase, ProtocolSpec, _as_int,
+                           _shared_build, protocol_hamiltonian)
 from .qubit_ops import SparseOperator
 
 DENSE_DIM_LIMIT = 1 << 13
@@ -90,21 +90,13 @@ class PropagatorBackend:
                     f"unknown backend {self.kind!r} (choose from DenseEigen "
                     "or dense, KrylovLanczos or krylov)")
             object.__setattr__(self, "kind", kind)
-        if int(self.krylov_dim) < 2:
-            raise ParameterError(f"krylov_dim must be >= 2, got {self.krylov_dim}")
-        object.__setattr__(self, "krylov_dim", int(self.krylov_dim))
+        krylov_dim = _as_int(self.krylov_dim, "krylov_dim must be an integer")
+        if krylov_dim < 2:
+            raise ParameterError(f"krylov_dim must be >= 2, got {krylov_dim}")
+        object.__setattr__(self, "krylov_dim", krylov_dim)
         if not self.tolerance > 0.0:
             raise ParameterError(f"tolerance must be > 0, got {self.tolerance}")
         object.__setattr__(self, "tolerance", float(self.tolerance))
-
-    @classmethod
-    def dense(cls) -> "PropagatorBackend":
-        return cls(BackendKind.DENSE_EIGEN)
-
-    @classmethod
-    def krylov(cls, **options) -> "PropagatorBackend":
-        """Lanczos backend; ``options`` override ``krylov_dim``/``tolerance``."""
-        return cls(BackendKind.KRYLOV_LANCZOS, **options)
 
 
 class StateVector:
@@ -240,20 +232,18 @@ def _odd_parity(dim: int) -> np.ndarray:
     return odd
 
 
-def _parity_sector(amplitudes: np.ndarray) -> np.ndarray | None:
-    """Ascending basis indices of the parity sector holding ``amplitudes``.
+def _parity_sector(amplitudes: np.ndarray):
+    """(ascending basis indices, outside weight) of ``amplitudes``' sector.
 
-    Each sector is half of the register.  None for a single site, or when
-    the weight outside the heavier sector exceeds ``_SECTOR_LEAK_TOL``.
+    The sector is the parity half of the register that holds more of the
+    weight; the second item is the weight in the other half.
     """
-    if amplitudes.size < 4:
-        return None
     odd = _odd_parity(amplitudes.size)
     weight = np.abs(amplitudes) ** 2
     odd_weight, even_weight = weight[odd].sum(), weight[~odd].sum()
-    if min(odd_weight, even_weight) > _SECTOR_LEAK_TOL:
-        return None
-    return np.flatnonzero(odd if odd_weight > even_weight else ~odd)
+    if odd_weight > even_weight:
+        return np.flatnonzero(odd), even_weight
+    return np.flatnonzero(~odd), odd_weight
 
 
 def _conserves_parity(op: SparseOperator) -> bool:
@@ -265,8 +255,6 @@ def _conserves_parity(op: SparseOperator) -> bool:
 
 def _sector_block(op: SparseOperator, sector) -> SparseOperator:
     """``op`` restricted to ``sector``, a register of one site fewer."""
-    if sector is None:
-        return op
     return SparseOperator(op.matrix[sector][:, sector], op.num_qubits - 1,
                           check_hermitian=False)
 
@@ -327,7 +315,8 @@ def _ground_cluster_arpack(op: SparseOperator, num: int = 8):
     if inside.all():
         return None  # cluster may extend past the computed window
     state = _select_ground_representative(vecs[:, inside])
-    if _parity_sector(state.amplitudes) is None and _conserves_parity(op):
+    if (_parity_sector(state.amplitudes)[1] > _SECTOR_LEAK_TOL
+            and _conserves_parity(op)):
         return None
     return float(vals[0]), state
 
@@ -503,8 +492,18 @@ class _Frame:
 
     @functools.cached_property
     def energy_matrix(self):
-        """B = V^dag H_B V in the collapsed basis V."""
-        return self.basis.conj().T @ _apply(self._h_battery, self.basis)
+        """B = V^dag H_B V in the collapsed basis V.
+
+        A complex V = X + iY is multiplied as its float64 view, whose columns
+        interleave X and Y: with G = [X Y]^T H_B [X Y] real,
+        B = G_XX + G_YY + i (G_XY - G_YX).
+        """
+        image = _apply(self._h_battery, self.basis)
+        if not np.iscomplexobj(self.basis):
+            return self.basis.conj().T @ image
+        gram = self.basis.view(np.float64).T @ image.view(np.float64)
+        return (gram[0::2, 0::2] + gram[1::2, 1::2]
+                + 1j * (gram[0::2, 1::2] - gram[1::2, 0::2]))
 
     def energy_parts(self, block):
         """<H_B> and its imaginary residue for each column a + ib of ``block``.
@@ -556,9 +555,8 @@ class ProtocolEvolution:
     frame of its phase, built on first use and kept for later calls (the
     refinement pass); the dense backend diagonalizes at most two matrices.
 
-    Both phases and <H_B> run on psi_0's parity sector when it has one (see
-    the module docstring); ``states`` scatters the columns back into the
-    full register.
+    Both phases and <H_B> run on psi_0's parity sector (see the module
+    docstring); ``states`` scatters the columns back into the full register.
     """
 
     def __init__(self, protocol: ProtocolSpec, backend: PropagatorBackend):
@@ -568,9 +566,13 @@ class ProtocolEvolution:
             _battery_ground(protocol.battery, protocol.num_qubits,
                             protocol.literal_ata_sum)
         self.h_charging = protocol_hamiltonian(protocol, ProtocolPhase.CHARGING)
-        self._sector = _parity_sector(self.initial_state.amplitudes)
         psi0 = self.initial_state.amplitudes
-        self._start = psi0 if self._sector is None else psi0[self._sector]
+        self._sector, leak = _parity_sector(psi0)
+        if leak > _SECTOR_LEAK_TOL:
+            raise NumericalError(
+                f"the battery ground state puts weight {leak:.3e} outside "
+                "its parity sector")
+        self._start = psi0[self._sector]
         self._battery_block = _sector_block(self.h_battery, self._sector)
         self._charging_block = _sector_block(self.h_charging, self._sector)
 
@@ -633,12 +635,9 @@ class ProtocolEvolution:
                 "budget; sample energies instead")
         states = [None] * times.size
         for positions, frame, block in self._blocks(times):
-            block = frame.columns(block)
-            if self._sector is not None:
-                full = np.zeros((self.initial_state.dimension, block.shape[1]),
-                                dtype=np.complex128)
-                full[self._sector] = block
-                block = full
-            for position, column in zip(positions, block.T):
+            full = np.zeros((self.initial_state.dimension, block.shape[1]),
+                            dtype=np.complex128)
+            full[self._sector] = frame.columns(block)
+            for position, column in zip(positions, full.T):
                 states[position] = StateVector.normalized(column)
         return states

@@ -139,7 +139,7 @@ def interaction_range(num_qubits: int) -> int:
     Odd N: K = (N-1)/2.  Even N: K = N/2, where the antipodal distance
     k = N/2 pairs each site with exactly one partner.
     """
-    num_qubits = int(num_qubits)
+    num_qubits = _as_int(num_qubits, "ring sizes must be integers")
     if num_qubits < 3:
         raise ParameterError(f"interaction range needs N >= 3, got {num_qubits}")
     if num_qubits % 2:
@@ -182,7 +182,7 @@ def _coupling_terms(pairs, axis: PauliAxis, coefficient: float):
 def build(spec: HamiltonianSpec, num_qubits: int,
           literal_ata_sum: bool = False) -> SparseOperator:
     """Assemble the requested family on a periodic ring of ``num_qubits``."""
-    num_qubits = int(num_qubits)
+    num_qubits = _as_int(num_qubits, "ring sizes must be integers")
     if num_qubits < _min_size(spec.family):
         raise ParameterError(
             f"{spec.family.value} needs N >= {_min_size(spec.family)}, "
@@ -252,7 +252,9 @@ class ProtocolSpec:
                 # a truthy string such as "no" would silently flip the flag
                 raise ParameterError(f"{flag} must be a bool, got {value!r}")
         num_qubits = _as_int(self.num_qubits, "ring sizes must be integers")
-        needed = max(_min_size(self.battery.family), _min_size(self.charger.family))
+        # a single site has no parity sector for the protocol to run in
+        needed = max(2, _min_size(self.battery.family),
+                     _min_size(self.charger.family))
         if num_qubits < needed:
             raise ParameterError(
                 f"N={num_qubits} too small for this battery/charger pair "

@@ -17,9 +17,7 @@ import numpy as np
 
 from .dynamics import PropagatorBackend, ProtocolEvolution
 from .errors import ParameterError
-from .hamiltonians import ProtocolSpec
-
-WORKERS_ENV_VAR = "SPINBATTERY_WORKERS"
+from .hamiltonians import ProtocolSpec, _as_int
 
 
 @dataclass(frozen=True)
@@ -40,7 +38,8 @@ class TimeGrid:
             raise ParameterError(f"grid end must exceed 0, got {end}")
         if not step > 0.0:
             raise ParameterError(f"grid step must be positive, got {step}")
-        factor = int(self.refinement_factor)
+        factor = _as_int(self.refinement_factor,
+                         "refinement_factor must be an integer")
         if factor < 1:
             raise ParameterError(
                 f"refinement_factor must be >= 1, got {self.refinement_factor}")
@@ -193,26 +192,14 @@ def fit_log10(coupling_values, p_max_values) -> LogFit:
 # sweeps
 
 
-def _resolve_workers(workers):
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get(WORKERS_ENV_VAR)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ParameterError(
-                f"{WORKERS_ENV_VAR} must be an integer, got {env!r}") from None
-    return os.cpu_count() or 1
-
-
 def sweep_map(evaluate, values, workers=None) -> list:
-    """``evaluate`` on every value, threaded, results in input order."""
+    """``evaluate`` on every value on ``workers`` threads (default: the CPU
+    count), results in input order."""
     values = list(values)
-    workers = min(_resolve_workers(workers), max(len(values), 1))
+    workers = (os.cpu_count() or 1) if workers is None else int(workers)
     if workers <= 1 or len(values) <= 1:
         return [evaluate(v) for v in values]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=min(workers, len(values))) as pool:
         return list(pool.map(evaluate, values))  # input order preserved
 
 

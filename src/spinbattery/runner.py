@@ -28,7 +28,6 @@ from .metrics import (
     SweepRecord,
     TimeGrid,
     TimeSeries,
-    _resolve_workers,
     fit_log10,
     stored_energy_series,
     substituted_protocol,
@@ -434,7 +433,6 @@ def _is_boundary(record: SweepRecord, grid_end: float, step: float) -> bool:
 def run(config: ExperimentConfig, workers=None, echo=print) -> int:
     """Execute one config, write CSVs and the manifest, return exit status."""
     started = time.time()
-    workers = _resolve_workers(workers)  # a bad variable fails before any write
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -549,8 +547,7 @@ def main(argv=None) -> int:
     run_parser.add_argument("--preset", help="named figure preset to run")
     run_parser.add_argument("--output", help="override the output directory")
     run_parser.add_argument("--workers", type=int,
-                            help="sweep worker threads (default: CPU count, "
-                                 "or the SPINBATTERY_WORKERS variable)")
+                            help="sweep worker threads (default: CPU count)")
 
     sub.add_parser("list-presets", help="show the bundled figure presets")
 

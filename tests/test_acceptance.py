@@ -31,8 +31,8 @@ from spinbattery import (
 from spinbattery.oracle import DenseOperator, dense_expm_apply, xbasis_enumeration
 from spinbattery.runner import parse_config, preset_config, run
 
-DENSE = PropagatorBackend.dense()
-KRYLOV = PropagatorBackend.krylov()
+DENSE = PropagatorBackend()
+KRYLOV = PropagatorBackend("krylov")
 GRID = TimeGrid()
 FIELD = HamiltonianSpec(Family.FIELD_Z, h=1.0)
 

@@ -7,6 +7,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.linalg as sla
+import scipy.sparse.linalg as spla
 
 from spinbattery import (
     CapacityError,
@@ -36,8 +37,8 @@ from spinbattery.dynamics import (DEGENERACY_TOL, _SUPPORT_DROP_WEIGHT,
 from spinbattery.metrics import TimeGrid, stored_energy_series
 from spinbattery.oracle import dense_expm_apply, xbasis_enumeration
 
-DENSE = PropagatorBackend.dense()
-KRYLOV = PropagatorBackend.krylov()
+DENSE = PropagatorBackend()
+KRYLOV = PropagatorBackend("krylov")
 
 
 def field_protocol(charger_family=Family.ISING_ATA, lam=1.0, num_qubits=6,
@@ -253,17 +254,22 @@ def test_iterative_path_agrees_with_dense_selection():
                         StateVector.basis_state(10, 1023).amplitudes, atol=1e-8)
 
 
+def _dense_route_ground(op):
+    data = spectrum(op, want_vectors=True)
+    inside = data.eigenvalues <= data.eigenvalues[0] + DEGENERACY_TOL
+    return (data.eigenvalues[0],
+            _select_ground_representative(data.eigenvectors[:, inside]))
+
+
 def test_partial_arpack_cluster_falls_back_to_dense():
     # The IsingNN ground level at N=11 is 22-fold; ARPACK returned a few
     # copies of it next to an excited state, a vector mixing both parities
     # that changed from call to call.
     op = build(HamiltonianSpec(Family.ISING_NN), 11)
-    data = spectrum(op, want_vectors=True)
-    inside = data.eigenvalues <= data.eigenvalues[0] + DEGENERACY_TOL
-    expected = _select_ground_representative(data.eigenvectors[:, inside])
+    expected_energy, expected = _dense_route_ground(op)
     for _ in range(2):
         energy, state = ground_state(op)
-        assert energy == pytest.approx(data.eigenvalues[0], abs=1e-9)
+        assert energy == pytest.approx(expected_energy, abs=1e-9)
         npt.assert_allclose(state.amplitudes, expected.amplitudes, rtol=0,
                             atol=1e-10)
 
@@ -278,6 +284,38 @@ def test_parity_guard_spares_operators_that_break_parity(monkeypatch):
     assert energy == pytest.approx(-10.0, abs=1e-9)
     npt.assert_allclose(state.amplitudes,
                         np.where(odd_parity(10), -1.0, 1.0) / 32, atol=1e-8)
+
+
+def test_arpack_failure_falls_back_to_dense(monkeypatch):
+    op = build(HamiltonianSpec(Family.XY_NN), 10)
+    expected_energy, expected = _dense_route_ground(op)
+
+    def failing(*args, **kwargs):
+        raise spla.ArpackError(-9999)
+
+    monkeypatch.setattr(dynamics.spla, "eigsh", failing)
+    energy, state = ground_state(op)
+    assert energy == pytest.approx(expected_energy, abs=1e-9)
+    npt.assert_allclose(state.amplitudes, expected.amplitudes, rtol=0,
+                        atol=1e-10)
+
+
+def test_mixed_parity_arpack_ground_falls_back_to_dense(monkeypatch):
+    # FieldZ conserves P, so a ground vector over both parities is wrong
+    op = build(HamiltonianSpec(Family.FIELD_Z), 10)
+    mixed = np.zeros((op.dimension, 2))
+    mixed[[1022, 1023], 0] = np.sqrt(0.5)  # popcounts 9 and 10
+    mixed[1021, 1] = 1.0
+
+    def mixed_parity(*args, **kwargs):
+        return np.array([-10.0, -8.0]), mixed
+
+    monkeypatch.setattr(dynamics.spla, "eigsh", mixed_parity)
+    energy, state = ground_state(op)
+    assert energy == pytest.approx(-10.0, abs=1e-12)
+    npt.assert_allclose(state.amplitudes,
+                        StateVector.basis_state(10, 1023).amplitudes,
+                        rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +416,7 @@ def test_krylov_breakdown_is_exact():
 def test_small_krylov_dimension_still_converges():
     op = build(HamiltonianSpec(Family.ISING_ATA, J=1.0), 5)
     state = StateVector.basis_state(5, 31)
-    tight = PropagatorBackend.krylov(krylov_dim=4, tolerance=1e-10)
+    tight = PropagatorBackend("krylov", krylov_dim=4, tolerance=1e-10)
     dense = propagate(op, state, 3.0, DENSE)
     small = propagate(op, state, 3.0, tight)
     assert 1.0 - abs(dense.overlap(small)) < 1e-8
@@ -386,14 +424,14 @@ def test_small_krylov_dimension_still_converges():
 
 def test_unreachable_krylov_tolerance_raises():
     op = build(HamiltonianSpec(Family.ISING_ATA, J=1.0), 5)
-    tight = PropagatorBackend.krylov(krylov_dim=2, tolerance=1e-300)
+    tight = PropagatorBackend("krylov", krylov_dim=2, tolerance=1e-300)
     with pytest.raises(NumericalError, match="larger krylov_dim"):
         propagate(op, StateVector.basis_state(5, 31), 1.0, tight)
 
 
 def test_backend_validation():
     with pytest.raises(ParameterError):
-        PropagatorBackend.krylov(krylov_dim=1)
+        PropagatorBackend("krylov", krylov_dim=1)
     with pytest.raises(ParameterError):
         PropagatorBackend(BackendKind := "DenseEigen", tolerance=0.0)
     assert PropagatorBackend("KrylovLanczos").kind.value == "KrylovLanczos"
@@ -579,6 +617,20 @@ def test_dense_gate_bounds_the_sector_block(monkeypatch):
     assert energies[0] == pytest.approx(-6.0, abs=1e-9)
     with pytest.raises(CapacityError):
         spectrum(engine.h_charging)
+
+
+@pytest.mark.parametrize("backend", [DENSE, KRYLOV], ids=["dense", "krylov"])
+def test_complex_frames_form_the_battery_matrix_in_real_arithmetic(backend):
+    engine = ProtocolEvolution(
+        field_protocol(Family.XY_ATA, lam=0.6, num_qubits=8), backend)
+    rng = np.random.default_rng(5)
+    start = rng.normal(size=1 << 7) + 1j * rng.normal(size=1 << 7)
+    frame = dynamics._Frame(engine._charging_block, start / np.linalg.norm(start),
+                            backend, engine._battery_block.matrix)
+    h_battery = engine._battery_block.to_dense().astype(np.complex128)
+    reference = frame.basis.conj().T @ (h_battery @ frame.basis)
+    assert np.abs(reference.imag).max() > 0.1
+    npt.assert_allclose(frame.energy_matrix, reference, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -11,8 +11,10 @@ from spinbattery import (
     ParameterError,
     PauliAxis,
     PauliTerm,
+    PropagatorBackend,
     ProtocolPhase,
     ProtocolSpec,
+    TimeGrid,
     assemble,
     build,
     commutator_norm,
@@ -227,6 +229,10 @@ def test_protocol_spec_validation():
     extended = ProtocolSpec(battery, charger, lam=3.7, num_qubits=4,
                             extended_lambda=True)
     assert extended.lam == 3.7
+    # one site has no parity sector, and FieldZ<-FieldZ commutes anyway
+    with pytest.raises(ParameterError, match=r"needs N >= 2"):
+        ProtocolSpec(battery, battery, lam=0.5, num_qubits=1)
+    assert ProtocolSpec(battery, battery, lam=0.5, num_qubits=2).num_qubits == 2
 
 
 def test_fractional_sizes_and_ranges_are_rejected():
@@ -238,6 +244,18 @@ def test_fractional_sizes_and_ranges_are_rejected():
         HamiltonianSpec(Family.ISING_ATA, K=2.9)
     assert ProtocolSpec(battery, charger, lam=0.5, num_qubits=6.0).num_qubits == 6
     assert HamiltonianSpec(Family.XY_ATA, K=np.int64(2)).K == 2
+
+
+@pytest.mark.parametrize("convert, whole", [
+    (lambda v: TimeGrid(end=1.0, refinement_factor=v).refinement_factor, 4),
+    (lambda v: PropagatorBackend("krylov", krylov_dim=v).krylov_dim, 4),
+    (interaction_range, 2),
+    (lambda v: build(HamiltonianSpec(Family.FIELD_Z), v).num_qubits, 4),
+], ids=["refinement_factor", "krylov_dim", "interaction_range", "build"])
+def test_fractional_integers_are_rejected(convert, whole):
+    assert convert(4.0) == whole
+    with pytest.raises(ParameterError, match="must be (an )?integer"):
+        convert(4.5)
 
 
 def test_protocol_flags_must_be_bool():

@@ -1,6 +1,5 @@
 """Series construction, maxima extraction, sweeps, and fits."""
 
-import os
 import sys
 
 import numpy as np
@@ -23,7 +22,7 @@ from spinbattery import (
     sweep,
 )
 
-DENSE = PropagatorBackend.dense()
+DENSE = PropagatorBackend()
 FIELD = HamiltonianSpec(Family.FIELD_Z, h=1.0)
 
 
@@ -250,13 +249,12 @@ def test_sweep_records_carry_peak_times_inside_grid():
         assert rec.delta_e_max >= 0.0
 
 
-def test_threaded_sweep_matches_sequential(monkeypatch):
+def test_threaded_sweep_matches_sequential():
     lambdas = [0.0, 0.5, 1.0]
     grid = TimeGrid(end=20.0)
     base = ata_protocol(lam=0.0, num_qubits=4)
     sequential = sweep(base, "lambda", lambdas, grid, DENSE, workers=1)
-    monkeypatch.setenv("SPINBATTERY_WORKERS", "3")
-    threaded = sweep(base, "lambda", lambdas, grid, DENSE)
+    threaded = sweep(base, "lambda", lambdas, grid, DENSE, workers=3)
     assert sequential == threaded
 
 

@@ -8,6 +8,7 @@ from spinbattery import (
     CapacityError,
     Family,
     HamiltonianSpec,
+    NumericalError,
     ParameterError,
     PauliAxis,
     PauliTerm,
@@ -120,8 +121,8 @@ def _random_hermitian_pauli_sum(rng, num_qubits):
 def test_propagator_agreement_battery(seed=2024, trials=50):
     """Both backends track the oracle on random (H, psi, t) triples."""
     rng = np.random.default_rng(seed)
-    krylov = PropagatorBackend.krylov()
-    dense = PropagatorBackend.dense()
+    krylov = PropagatorBackend("krylov")
+    dense = PropagatorBackend()
     for _ in range(trials):
         n = int(rng.integers(2, 7))
         op = _random_hermitian_pauli_sum(rng, n)
@@ -153,10 +154,10 @@ def _oracle_states(protocol, start, times):
 
 
 @pytest.mark.parametrize("t_on, backend", [
-    pytest.param(None, PropagatorBackend.dense(), id="always-on"),
-    pytest.param(1.1, PropagatorBackend.dense(), id="t_on"),
-    pytest.param(None, PropagatorBackend.krylov(), id="always-on-krylov"),
-    pytest.param(1.1, PropagatorBackend.krylov(), id="t_on-krylov"),
+    pytest.param(None, PropagatorBackend(), id="always-on"),
+    pytest.param(1.1, PropagatorBackend(), id="t_on"),
+    pytest.param(None, PropagatorBackend("krylov"), id="always-on-krylov"),
+    pytest.param(1.1, PropagatorBackend("krylov"), id="t_on-krylov"),
 ])
 @pytest.mark.parametrize("charger", list(Family), ids=lambda f: f.value)
 @pytest.mark.parametrize("battery", list(Family), ids=lambda f: f.value)
@@ -178,7 +179,7 @@ def test_field_charger_at_full_countereffect_matches_oracle(battery, t_on):
                             lam=1.0, num_qubits=6, t_on=t_on)
     charging = protocol_hamiltonian(protocol, ProtocolPhase.CHARGING).matrix
     assert charging.nnz == np.count_nonzero(charging.diagonal())
-    _assert_matches_oracle(protocol, PropagatorBackend.dense())
+    _assert_matches_oracle(protocol, PropagatorBackend())
 
 
 def _assert_matches_oracle(protocol, backend):
@@ -196,18 +197,25 @@ def _assert_matches_oracle(protocol, backend):
         npt.assert_allclose(aligned, ref.amplitudes, rtol=0, atol=1e-10)
 
 
-def test_mixed_parity_start_keeps_the_full_register(monkeypatch):
-    """A psi_0 spread over both parity sectors is propagated in full."""
+@pytest.mark.parametrize("leak", [1e-22, 1e-18, 0.5])
+def test_mixed_parity_start_is_rejected(monkeypatch, leak):
+    """Every family conserves P, so a psi_0 with more than 1e-20 of its
+    weight outside one parity sector is refused; a lighter leak is dropped."""
     protocol = ProtocolSpec(HamiltonianSpec(Family.FIELD_Z),
                             HamiltonianSpec(Family.ISING_ATA),
                             lam=0.4, num_qubits=6, t_on=1.1)
     h_battery = build(protocol.battery, 6)
     amplitudes = np.zeros(1 << 6)
-    amplitudes[:2] = np.sqrt(0.5)  # |0...00> + |0...01>, opposite parities
+    # |1...11> and |1...10> have opposite parities
+    amplitudes[-2:] = np.sqrt(leak), np.sqrt(1.0 - leak)
     start = StateVector(amplitudes)
     monkeypatch.setattr("spinbattery.dynamics._battery_ground",
-                        lambda *args: (h_battery, 5.0, start))
-    engine = ProtocolEvolution(protocol, PropagatorBackend.dense())
+                        lambda *args: (h_battery, -6.0, start))
+    if leak > 1e-20:
+        with pytest.raises(NumericalError, match="parity sector"):
+            ProtocolEvolution(protocol, PropagatorBackend())
+        return
+    engine = ProtocolEvolution(protocol, PropagatorBackend())
     times = np.array([2.5, 0.0, 0.37, 1.1, 4.0])
     dense = h_battery.to_dense()
     expected = [np.vdot(ref.amplitudes, dense @ ref.amplitudes).real
@@ -238,7 +246,7 @@ def test_symmetric_start_is_sampled_on_its_support(num_qubits):
     """psi_0 occupies few charging eigenvectors; <H_B> is reduced there."""
     engine = ProtocolEvolution(
         _support_protocol(Family.FIELD_Z, Family.ISING_ATA, 0.5, num_qubits),
-        PropagatorBackend.dense())
+        PropagatorBackend())
     if num_qubits <= 8:  # the oracle's own capacity
         _assert_energies_match_oracle(engine, engine.initial_state,
                                       SUPPORT_TIMES)
@@ -254,7 +262,7 @@ def test_symmetric_start_is_sampled_on_its_support(num_qubits):
 def test_light_start_component_is_kept(monkeypatch):
     """A 1e-20-weight component outside psi_0's support is still sampled."""
     protocol = _support_protocol(Family.FIELD_Z, Family.ISING_ATA, 0.5, 8)
-    engine = ProtocolEvolution(protocol, PropagatorBackend.dense())
+    engine = ProtocolEvolution(protocol, PropagatorBackend())
     engine.battery_energy([0.0])
     kept = engine._charging_frame.basis.shape[1]
     # the charging eigenvector psi_0 overlaps least, embedded in the register
@@ -267,7 +275,7 @@ def test_light_start_component_is_kept(monkeypatch):
     monkeypatch.setattr(
         "spinbattery.dynamics._battery_ground",
         lambda *args: (engine.h_battery, engine.ground_energy, start))
-    engine = ProtocolEvolution(protocol, PropagatorBackend.dense())
+    engine = ProtocolEvolution(protocol, PropagatorBackend())
     _assert_energies_match_oracle(engine, start, SUPPORT_TIMES)
     basis = engine._charging_frame.basis
     assert basis.shape[1] == kept + 1
@@ -279,7 +287,7 @@ def test_full_support_collapses_to_one_column_per_energy():
     the field charger, yet occupies only a few distinct energies."""
     engine = ProtocolEvolution(
         _support_protocol(Family.ISING_NN, Family.FIELD_Z, 1.0, 8),
-        PropagatorBackend.dense())
+        PropagatorBackend())
     _assert_energies_match_oracle(engine, engine.initial_state, SUPPORT_TIMES)
     data = spectrum(engine._charging_block, want_vectors=True)
     occupied = np.abs(data.eigenvectors.T @ engine._start) > 1e-12
@@ -295,7 +303,7 @@ def test_after_t_on_frame_keeps_one_column_per_battery_level():
     protocol = ProtocolSpec(HamiltonianSpec(Family.ISING_NN),
                             HamiltonianSpec(Family.XY_ATA), lam=0.4,
                             num_qubits=8, t_on=3.3)
-    engine = ProtocolEvolution(protocol, PropagatorBackend.dense())
+    engine = ProtocolEvolution(protocol, PropagatorBackend())
     _assert_energies_match_oracle(engine, engine.initial_state,
                                   np.array([0.0, 2.0, 3.3, 4.0, 40.0]))
     levels = len(spectrum(engine._battery_block).degeneracies())

@@ -530,20 +530,6 @@ def test_cli_validate_and_run(tmp_path, capsys):
     assert (tmp_path / "out" / "sweep.csv").exists()
 
 
-def test_cli_rejects_bad_worker_variable(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("SPINBATTERY_WORKERS", "two")
-    # a single run never sweeps, yet must reject the variable all the same
-    for name, doc in (("single", MINIMAL), ("sweep", SMALL_SWEEP)):
-        path = tmp_path / f"{name}.ini"
-        path.write_text(doc)
-        out = tmp_path / f"out_{name}"
-        assert main(["run", str(path), "--output", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error:")
-        assert "SPINBATTERY_WORKERS" in err and "'two'" in err
-        assert not out.exists()
-
-
 def test_cli_output_error_exits_3(tmp_path, capsys):
     path = tmp_path / "exp.ini"
     path.write_text(MINIMAL)
