@@ -492,18 +492,8 @@ class _Frame:
 
     @functools.cached_property
     def energy_matrix(self):
-        """B = V^dag H_B V in the collapsed basis V.
-
-        A complex V = X + iY is multiplied as its float64 view, whose columns
-        interleave X and Y: with G = [X Y]^T H_B [X Y] real,
-        B = G_XX + G_YY + i (G_XY - G_YX).
-        """
-        image = _apply(self._h_battery, self.basis)
-        if not np.iscomplexobj(self.basis):
-            return self.basis.conj().T @ image
-        gram = self.basis.view(np.float64).T @ image.view(np.float64)
-        return (gram[0::2, 0::2] + gram[1::2, 1::2]
-                + 1j * (gram[0::2, 1::2] - gram[1::2, 0::2]))
+        """B = V^dag H_B V in the collapsed basis V."""
+        return self.basis.conj().T @ _apply(self._h_battery, self.basis)
 
     def energy_parts(self, block):
         """<H_B> and its imaginary residue for each column a + ib of ``block``.

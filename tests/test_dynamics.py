@@ -619,20 +619,6 @@ def test_dense_gate_bounds_the_sector_block(monkeypatch):
         spectrum(engine.h_charging)
 
 
-@pytest.mark.parametrize("backend", [DENSE, KRYLOV], ids=["dense", "krylov"])
-def test_complex_frames_form_the_battery_matrix_in_real_arithmetic(backend):
-    engine = ProtocolEvolution(
-        field_protocol(Family.XY_ATA, lam=0.6, num_qubits=8), backend)
-    rng = np.random.default_rng(5)
-    start = rng.normal(size=1 << 7) + 1j * rng.normal(size=1 << 7)
-    frame = dynamics._Frame(engine._charging_block, start / np.linalg.norm(start),
-                            backend, engine._battery_block.matrix)
-    h_battery = engine._battery_block.to_dense().astype(np.complex128)
-    reference = frame.basis.conj().T @ (h_battery @ frame.basis)
-    assert np.abs(reference.imag).max() > 0.1
-    npt.assert_allclose(frame.energy_matrix, reference, rtol=0, atol=1e-12)
-
-
 @pytest.mark.parametrize("seed", range(5))
 def test_support_drops_at_most_the_allowed_weight(seed):
     rng = np.random.default_rng(seed)
